@@ -7,7 +7,7 @@ A start-to-finish tour of the constrained formulation: blur an image with a
 subject to an l2 ball constraint around the observation.
 """
 
-from ballast import IsotropicTV, SolverConfig, solve_penalized
+from ballast import IsotropicTV, SolverConfig, solve
 from ballast.harness import deblur_instance, isnr, mse
 
 # --- build the degraded observation ---------------------------------------
@@ -22,14 +22,16 @@ print(f"degraded MSE       {mse(inst.degraded, inst.truth):.1f}")
 # --- solve -----------------------------------------------------------------
 # The solver splits the problem into a penalty block and a feasibility block;
 # each iteration costs one FFT-based application of the operator and its
-# adjoint plus one proximal map per block.
+# adjoint plus one proximal map per block.  The default "direct" formulation
+# puts the penalty on the image pixels; formulation="synthesis" or
+# "analysis" (with a frame=) puts it on wavelet coefficients instead.
 config = SolverConfig(
     mu=0.5,                   # penalty weight coupling the blocks
     epsilon=inst.epsilon,     # constraint: ||B x - y|| <= epsilon
     max_iterations=300,
     warm_start="observation",  # start from the blurred image itself
 )
-result = solve_penalized(
+result = solve(
     inst.operator, inst.observation, IsotropicTV(iterations=10), config,
     truth=inst.truth,
 )

@@ -9,7 +9,7 @@ regularization under the ball constraint.
 
 import numpy as np
 
-from ballast import IsotropicTV, SolverConfig, solve_penalized
+from ballast import IsotropicTV, SolverConfig, solve
 from ballast.harness import fourier_phantom_instance, mse
 
 # --- the sampling geometry ---------------------------------------------------
@@ -32,7 +32,7 @@ print(f"back-projection MSE {mse(backprojection, inst.truth):.2e}")
 # starting its inner dual variable across outer iterations.
 config = SolverConfig(mu=150.0, epsilon=inst.epsilon, max_iterations=300,
                       warm_start="adjoint")
-result = solve_penalized(
+result = solve(
     inst.operator, inst.observation,
     IsotropicTV(iterations=10, warm_start=True), config, truth=inst.truth,
 )

@@ -73,6 +73,18 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _write_history(run_dir, history):
+    """Write ``history.csv`` (one row per iteration record) into ``run_dir``."""
+    with open(os.path.join(run_dir, "history.csv"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write("k,objective,constraint_norm,primal_residual,mse\n")
+        for rec in history:
+            fh.write(
+                f"{rec.k},{_fmt(rec.objective)},{_fmt(rec.constraint_norm)},"
+                f"{_fmt(rec.primal_residual)},{_fmt(rec.mse)}\n"
+            )
+
+
 def write_run_outputs(report, run_dir, partial=False):
     """Write history.csv, timing.csv, summary.json, and the image files.
 
@@ -82,14 +94,7 @@ def write_run_outputs(report, run_dir, partial=False):
     os.makedirs(run_dir, exist_ok=True)
     paths = {}
 
-    hist_path = os.path.join(run_dir, "history.csv")
-    with open(hist_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,objective,constraint_norm,primal_residual,mse\n")
-        for rec in report.history:
-            fh.write(
-                f"{rec.k},{_fmt(rec.objective)},{_fmt(rec.constraint_norm)},"
-                f"{_fmt(rec.primal_residual)},{_fmt(rec.mse)}\n"
-            )
+    _write_history(run_dir, report.history)
     paths["history"] = "history.csv"
 
     timing_path = os.path.join(run_dir, "timing.csv")
@@ -184,14 +189,7 @@ def _execute_run(spec):
     except DivergenceError as exc:
         # keep whatever history exists so the blow-up can be inspected
         os.makedirs(run_dir, exist_ok=True)
-        with open(os.path.join(run_dir, "history.csv"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("k,objective,constraint_norm,primal_residual,mse\n")
-            for rec in exc.history:
-                fh.write(
-                    f"{rec.k},{_fmt(rec.objective)},{_fmt(rec.constraint_norm)},"
-                    f"{_fmt(rec.primal_residual)},{_fmt(rec.mse)}\n"
-                )
+        _write_history(run_dir, exc.history)
         with open(os.path.join(run_dir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(
                 {"name": spec.get("name") or setup.name, "status": "diverged",
@@ -253,7 +251,7 @@ def _build_parser():
     run.add_argument("--lines", type=int, help="radial sampling lines (Fourier runs)")
     run.add_argument("--sigma", type=float, help="override the noise level")
     run.add_argument("--kernel", help="override the blur kernel family (deblur runs)")
-    run.add_argument("--jobs", type=int, default=1, help="run this many configs in parallel")
+    run.add_argument("--jobs", type=int, default=1, help="run up to this many configs at once")
     run.add_argument("--out", help=f"output root (default from ${_ENV_OUT} or ./runs)")
     run.add_argument("--overwrite", action="store_true",
                      help="allow replacing an existing run directory")
@@ -276,11 +274,19 @@ def _cmd_validate():
     return 0 if ok else 1
 
 
-def _cmd_run(args, parser):
+def _worker_count(jobs, runs):
+    """Worker processes for ``runs`` configs under ``--jobs jobs``."""
+    return max(1, min(jobs, runs, os.cpu_count() or 1))
+
+
+def _cmd_run(args):
     if args.list:
         for name in harness.experiment_names():
             print(name)
         return 0
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     specs = []
     for cfg_path in args.config:
         try:
@@ -332,8 +338,9 @@ def _cmd_run(args, parser):
                 )
                 return 2
 
-    if args.jobs > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = _worker_count(args.jobs, len(specs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_execute_run, specs))
     else:
         outcomes = [_execute_run(spec) for spec in specs]
@@ -357,21 +364,13 @@ def _cmd_run(args, parser):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    if argv and argv[0] in ("run", "validate"):
-        args = parser.parse_args(argv)
-    else:
-        args = parser.parse_args(argv)
-        if not args.validate:
-            parser.print_usage(sys.stderr)
-            print("error: pass a subcommand ('run' or 'validate') or --validate",
-                  file=sys.stderr)
-            return 2
-        args.command = "validate"
-    if args.command == "validate" or (args.command is None and args.validate):
+    args = parser.parse_args(argv)
+    if args.validate or args.command == "validate":
         return _cmd_validate()
     if args.command == "run":
-        return _cmd_run(args, parser)
+        return _cmd_run(args)
     parser.print_usage(sys.stderr)
+    print("error: pass a subcommand ('run' or 'validate') or --validate", file=sys.stderr)
     return 2
 
 

@@ -23,7 +23,7 @@ from .operators import (
     add_noise,
 )
 from .prox import IsotropicTV, L1Norm
-from .solver import SolverConfig, solve_analysis, solve_penalized
+from .solver import SolverConfig, solve
 
 __all__ = [
     "epsilon_rule",
@@ -604,19 +604,13 @@ def build_experiment(name, size=None, seed=0, lines=None, mu=None, iterations=No
 def run_experiment(setup, truth_metrics=True, counting=True):
     """Solve one RunSetup and assemble the report."""
     inst = setup.instance
-    base_op = inst.operator
+    op = inst.operator
     if setup.formulation == "synthesis":
-        op = SynthesisOperator(base_op, setup.frame)
-    else:
-        op = base_op
+        op = SynthesisOperator(op, setup.frame)
     counted = CountingOperator(op) if counting else op
     truth = inst.truth if truth_metrics else None
-    if setup.formulation == "analysis":
-        result = solve_analysis(counted, setup.frame, inst.observation, setup.penalty,
-                                setup.config, truth=truth)
-    else:
-        result = solve_penalized(counted, inst.observation, setup.penalty,
-                                 setup.config, truth=truth)
+    result = solve(counted, inst.observation, setup.penalty, setup.config, truth=truth,
+                   formulation=setup.formulation, frame=setup.frame)
     estimate = result.estimate
     final_mse = mse(estimate, inst.truth)
     degraded_mse = mse(inst.degraded, inst.truth) if inst.degraded is not None else float("nan")
@@ -624,7 +618,7 @@ def run_experiment(setup, truth_metrics=True, counting=True):
         isnr_db = isnr(inst.degraded, estimate, inst.truth)
     else:
         isnr_db = float("nan")
-    last = result.history[-1]
+    last = result.last_record
     return ExperimentReport(
         name=setup.name,
         formulation=setup.formulation,

@@ -11,10 +11,11 @@ outer iteration solves the quadratic u-update through the operator's
 closed-form shifted-normal inverse, then applies one prox and one dual
 update per block.
 
-Two ready-made drivers are provided: ``solve_penalized`` splits as
-[identity; B] and regularizes the unknown itself (image pixels, or frame
-coefficients when B is a synthesis composition), while ``solve_analysis``
-splits as [P; B] and regularizes the analysis coefficients of the image.
+One driver, ``solve``, covers the three formulations: it splits as
+[identity; B] and regularizes the unknown itself, which is the image
+(``"direct"``) or its frame coefficients when B is a synthesis composition
+(``"synthesis"``), or it splits as [P; B] and regularizes the analysis
+coefficients of the image (``"analysis"``).
 """
 
 import time
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import SynthesisOperator
 from .prox import BallConstraint, project_ball
 
 __all__ = [
@@ -35,8 +35,7 @@ __all__ = [
     "DivergenceError",
     "admm2_step",
     "admm2_solve",
-    "solve_penalized",
-    "solve_analysis",
+    "solve",
     "check_stop",
 ]
 
@@ -46,7 +45,13 @@ EXHAUSTED = "exhausted"
 
 
 class DivergenceError(RuntimeError):
-    """An iterate went non-finite; carries the last finite state and history."""
+    """An iterate went non-finite; carries the solver state and the history.
+
+    The state is not rolled back to the last finite iterate.  When block
+    ``j``'s prox goes non-finite, ``v`` and ``d`` of the blocks before ``j``
+    already hold the failing iteration's update, while ``u`` and ``k`` are
+    still those of the iteration before it.
+    """
 
     def __init__(self, message, state=None, history=None):
         super().__init__(message)
@@ -72,9 +77,9 @@ class Block:
 class SplitSpec:
     """The blocks plus the closed-form inverse of ``sum_j H_j^H H_j + ...``.
 
-    ``normal_inverse(r)`` must apply ``(sum_j H_j^H H_j)^{-1}``; for both
-    drivers here that matrix is ``I + B^H B`` and the inverse comes from the
-    operator's Woodbury closed form.
+    ``normal_inverse(r)`` must apply ``(sum_j H_j^H H_j)^{-1}``; for every
+    formulation of ``solve`` that matrix is ``I + B^H B`` and the inverse
+    comes from the operator's Woodbury closed form.
     """
 
     blocks: list
@@ -140,6 +145,7 @@ class SolveResult:
     status: str
     iterations: int
     history: list
+    last_record: IterationRecord  # final record, kept when history is off
     config: SolverConfig
 
 
@@ -216,7 +222,6 @@ def admm2_solve(split, config, state, recorder):
     returned alongside the status even when a divergence aborts the loop.
     """
     recent = []  # rolling window so the stop test works with history disabled
-    status = EXHAUSTED
     while True:
         try:
             admm2_step(state, split, config, recorder)
@@ -228,12 +233,9 @@ def admm2_solve(split, config, state, recorder):
             recent.pop(0)
         decision = check_stop(recent, config)
         if decision == CONVERGED:
-            status = CONVERGED
-            break
+            return CONVERGED, state.history
         if decision == EXHAUSTED or state.k >= config.max_iterations:
-            status = EXHAUSTED
-            break
-    return status, state.history
+            return EXHAUSTED, state.history
 
 
 def _init_state(blocks_shapes, op, y, config, forwards, observation_start=None):
@@ -291,29 +293,43 @@ def _make_recorder(objective_of, y, truth, image_of):
     return recorder
 
 
-def solve_penalized(op, y, penalty, config, truth=None):
-    """Constrained solve with the split [identity; B] (penalty on the unknown).
+def _identity(x):
+    return x
 
-    When ``op`` is a frame-synthesis composition the unknown is the
-    coefficient vector and the returned estimate is its synthesis back to
-    image space; otherwise estimate and unknown coincide.
+
+def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
+    """Constrained solve with the split [H; B] for one of three formulations.
+
+    - ``"direct"``: ``H = I`` and the unknown is the image itself.
+    - ``"synthesis"``: ``H = I`` and the unknown is the coefficient vector of
+      ``frame``; ``op`` is the composition ``B W`` and the returned estimate
+      is the synthesis ``W u``.
+    - ``"analysis"``: ``H = P``, the analysis of ``frame``; ``op`` must be
+      the plain image-domain operator, and the frame must be Parseval so
+      that ``P^H P = I`` lets the u-update reuse the operator's
+      shifted-normal inverse unchanged.
     """
+    if formulation not in ("direct", "synthesis", "analysis"):
+        raise ValueError(f"unknown formulation {formulation!r}")
+    if formulation != "direct" and frame is None:
+        raise ValueError(f"the {formulation} formulation needs a frame")
     y = np.asarray(y)
     ball = BallConstraint(y, config.epsilon)
-    synthesis = isinstance(op, SynthesisOperator) or isinstance(
-        getattr(op, "inner", None), SynthesisOperator
-    )
-    frame = op.frame if isinstance(op, SynthesisOperator) else getattr(
-        getattr(op, "inner", None), "frame", None
-    )
-
-    def image_of(u):
-        return frame.synthesis(u) if synthesis else u
-
+    # the penalty block (H, H^H, shape of H u), then the maps between the
+    # unknown and the image, both ways, and the image shape
+    penalty_forward, penalty_adjoint, penalty_shape = _identity, _identity, op.in_shape
+    image_of, unknown_of, image_shape = _identity, _identity, op.in_shape
+    if formulation == "synthesis":
+        image_of, unknown_of, image_shape = frame.synthesis, frame.analysis, frame.image_shape
+    elif formulation == "analysis":
+        if tuple(op.in_shape) != tuple(frame.image_shape):
+            raise ValueError("analysis formulation needs an image-domain operator")
+        penalty_forward, penalty_adjoint = frame.analysis, frame.synthesis
+        penalty_shape = (frame.coefficient_length,)
     blocks = [
         Block(
-            forward=lambda x: x,
-            adjoint=lambda x: x,
+            forward=penalty_forward,
+            adjoint=penalty_adjoint,
             prox=lambda s, mu, carry: penalty.prox(s, 1.0 / mu, carry),
         ),
         Block(
@@ -323,17 +339,12 @@ def solve_penalized(op, y, penalty, config, truth=None):
         ),
     ]
     split = SplitSpec(blocks=blocks, normal_inverse=op.shifted_normal_inverse)
-    shapes = [(op.in_shape, np.float64), (op.out_shape, op.out_dtype)]
+    shapes = [(penalty_shape, np.float64), (op.out_shape, op.out_dtype)]
     obs_start = None
     if config.warm_start == "observation":
-        if synthesis:
-            if y.shape != tuple(frame.image_shape):
-                raise ValueError("observation warm start needs an image-shaped observation")
-            obs_start = frame.analysis(y)
-        else:
-            if y.shape != tuple(op.in_shape):
-                raise ValueError("observation warm start needs an image-shaped observation")
-            obs_start = np.array(y, dtype=np.float64, copy=True)
+        if y.shape != tuple(image_shape):
+            raise ValueError("observation warm start needs an image-shaped observation")
+        obs_start = unknown_of(np.array(y, dtype=np.float64, copy=True))
     state = _init_state(shapes, op, y, config, [b.forward for b in blocks], obs_start)
     recorder = _make_recorder(penalty.evaluate, y, truth, image_of)
     status, history = admm2_solve(split, config, state, recorder)
@@ -343,48 +354,6 @@ def solve_penalized(op, y, penalty, config, truth=None):
         status=status,
         iterations=state.k,
         history=history,
-        config=config,
-    )
-
-
-def solve_analysis(op, frame, y, penalty, config, truth=None):
-    """Constrained solve with the split [P; B] (penalty on analysis coefficients).
-
-    ``op`` must be a plain image-domain operator; the frame must be Parseval
-    so that ``P^H P = I`` lets the u-update reuse the operator's
-    shifted-normal inverse unchanged.
-    """
-    if isinstance(op, SynthesisOperator):
-        raise ValueError("analysis formulation needs the image-domain operator, not a composition")
-    y = np.asarray(y)
-    ball = BallConstraint(y, config.epsilon)
-    blocks = [
-        Block(
-            forward=frame.analysis,
-            adjoint=frame.synthesis,
-            prox=lambda s, mu, carry: penalty.prox(s, 1.0 / mu, carry),
-        ),
-        Block(
-            forward=op.forward,
-            adjoint=op.adjoint,
-            prox=lambda s, mu, carry: project_ball(s, ball),
-        ),
-    ]
-    split = SplitSpec(blocks=blocks, normal_inverse=op.shifted_normal_inverse)
-    shapes = [((frame.coefficient_length,), np.float64), (op.out_shape, op.out_dtype)]
-    obs_start = None
-    if config.warm_start == "observation":
-        if y.shape != tuple(op.in_shape):
-            raise ValueError("observation warm start needs an image-shaped observation")
-        obs_start = np.array(y, dtype=np.float64, copy=True)
-    state = _init_state(shapes, op, y, config, [b.forward for b in blocks], obs_start)
-    recorder = _make_recorder(penalty.evaluate, y, truth, lambda u: u)
-    status, history = admm2_solve(split, config, state, recorder)
-    return SolveResult(
-        estimate=state.u,
-        u=state.u,
-        status=status,
-        iterations=state.k,
-        history=history,
+        last_record=state.last_record,
         config=config,
     )

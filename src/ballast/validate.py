@@ -32,31 +32,48 @@ def _rng():
     return np.random.default_rng(20260817)
 
 
+class _Scaled:
+    """Fault injection: forward and adjoint times ``dft_scale``, the inverse kept exact."""
+
+    dft_scale = 1.0
+
+    def forward(self, x):
+        return super().forward(x) * self.dft_scale
+
+    def adjoint(self, r):
+        return super().adjoint(r) * self.dft_scale
+
+
+class _ScaledConvolution(_Scaled, CircularConvolution):
+    pass
+
+
+class _ScaledFourier(_Scaled, PartialFourier):
+    pass
+
+
 def _operators(dft_scale):
     rng = _rng()
     shape = (8, 8)
-    conv = CircularConvolution(rng.random((3, 3)) + 0.1, shape)
-    conv._unitary_scale = dft_scale
+    conv = _ScaledConvolution(rng.random((3, 3)) + 0.1, shape)
+    conv.dft_scale = dft_scale
     mask = rng.random(shape) < 0.6
     mask.flat[0] = True
     pixel = PixelMask(mask)
     fmask = rng.random(shape) < 0.5
     fmask[0, 0] = True
-    fourier = PartialFourier(fmask)
-    fourier._unitary_scale = dft_scale
+    fourier = _ScaledFourier(fmask)
+    fourier.dft_scale = dft_scale
     frame = UndecimatedHaar(shape, levels=2)
     composed = SynthesisOperator(
-        CircularConvolution(rng.random((3, 3)) + 0.1, shape), frame
+        _ScaledConvolution(rng.random((3, 3)) + 0.1, shape), frame
     )
-    composed.base._unitary_scale = dft_scale
+    composed.base.dft_scale = dft_scale
     return {"conv": conv, "pixel": pixel, "fourier": fourier, "composed": composed}
 
 
 def _rand_in(op, rng):
-    x = rng.standard_normal(op.in_shape)
-    if len(op.in_shape) == 1:
-        return x
-    return x
+    return rng.standard_normal(op.in_shape)
 
 
 def _rand_out(op, rng):
@@ -88,8 +105,8 @@ def _check_adjoint(ops):
 
 def _check_dft_parseval(ops):
     rng = _rng()
-    full = PartialFourier(np.ones((8, 8), dtype=bool))
-    full._unitary_scale = ops["fourier"]._unitary_scale
+    full = _ScaledFourier(np.ones((8, 8), dtype=bool))
+    full.dft_scale = ops["fourier"].dft_scale
     worst = 0.0
     for _ in range(25):
         x = rng.standard_normal((8, 8))

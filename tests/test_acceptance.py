@@ -26,7 +26,7 @@ from ballast import (
     SolverConfig,
     SynthesisOperator,
     UndecimatedHaar,
-    solve_penalized,
+    solve,
 )
 from ballast.harness import build_experiment, run_experiment
 from ballast.prox import BallConstraint, project_ball, soft_threshold, tv_norm, tv_prox
@@ -163,7 +163,7 @@ def test_criterion_4_analytic_instance():
     for mu in (0.1, 1.0, 10.0):
         config = SolverConfig(mu=mu, epsilon=1.0, max_iterations=200,
                               objective_rel_tol=1e-12)
-        res = solve_penalized(op, y, L1Norm(), config)
+        res = solve(op, y, L1Norm(), config)
         worst_err = max(worst_err, abs(res.estimate.item() - 4.0))
         worst_iters = max(worst_iters, res.iterations)
     ok = worst_err <= 1e-6 and worst_iters <= 200

@@ -213,6 +213,25 @@ def test_parallel_jobs_run_both_configs(tmp_path):
     assert (tmp_path / "deblur-uniform-tv" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    code = run_cli("run", "--experiment", "inpaint", "--size", "32",
+                   "--jobs", jobs, "--out", str(tmp_path))
+    assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "inpaint").exists()
+
+
+def test_worker_count_is_bounded_by_runs_and_cores(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cli._worker_count(1, 10) == 1
+    assert cli._worker_count(3, 10) == 3
+    assert cli._worker_count(100, 2) == 2
+    assert cli._worker_count(100, 10) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._worker_count(100, 10) == 1
+
+
 def test_divergence_exits_three_with_partial_outputs(tmp_path, capsys, monkeypatch):
     records = [
         IterationRecord(k=1, objective=10.0, constraint_norm=5.0,

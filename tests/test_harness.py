@@ -407,3 +407,14 @@ def test_run_experiment_without_truth_metrics():
     assert np.isnan(report.history[-1].mse)
     # the final report still grades the estimate against the stored truth
     assert np.isfinite(report.final_mse)
+
+
+def test_run_experiment_with_history_off_reports_the_final_record():
+    setup = build_experiment("inpaint", size=32)
+    setup.config.record_history = False
+    report = run_experiment(setup)
+    reference = run_experiment(build_experiment("inpaint", size=32))
+    assert report.history == []
+    assert report.iterations == reference.iterations
+    assert report.final_objective == reference.final_objective
+    assert report.final_constraint_norm == reference.final_constraint_norm

@@ -17,8 +17,7 @@ from ballast import (
     admm2_solve,
     admm2_step,
     check_stop,
-    solve_analysis,
-    solve_penalized,
+    solve,
 )
 from ballast.solver import CONTINUE, CONVERGED, EXHAUSTED, IterationRecord
 from ballast.harness import deblur_instance, fourier_phantom_instance, mse
@@ -195,7 +194,7 @@ def test_one_dimensional_constrained_l1(mu):
     # minimize |x| subject to |x - 5| <= 1 has the closed-form solution x = 4
     op = identity_op((1, 1))
     y = np.array([[5.0]])
-    res = solve_penalized(op, y, L1Norm(), scalar_problem_config(mu))
+    res = solve(op, y, L1Norm(), scalar_problem_config(mu))
     assert res.iterations <= 200
     assert abs(res.estimate.item() - 4.0) <= 1e-6
 
@@ -205,7 +204,7 @@ def test_noiseless_identity_problem_returns_observation(rng):
     op = identity_op((8, 8))
     config = SolverConfig(mu=1.0, epsilon=0.0, max_iterations=2000,
                           objective_rel_tol=0.0)
-    res = solve_penalized(op, y, L1Norm(), config)
+    res = solve(op, y, L1Norm(), config)
     assert np.max(np.abs(res.estimate - y)) <= 1e-12 * np.max(np.abs(y))
 
 
@@ -215,7 +214,7 @@ def test_analysis_noiseless_identity_returns_observation(rng):
     frame = OrthogonalHaar((8, 8), levels=2)
     config = SolverConfig(mu=1.0, epsilon=0.0, max_iterations=2000,
                           objective_rel_tol=0.0)
-    res = solve_analysis(op, frame, y, L1Norm(), config)
+    res = solve(op, y, L1Norm(), config, formulation="analysis", frame=frame)
     assert np.max(np.abs(res.estimate - y)) <= 1e-11 * np.max(np.abs(y))
 
 
@@ -223,7 +222,7 @@ def test_mri_phantom_reconstruction_64():
     inst = fourier_phantom_instance(size=64, lines=22)
     config = SolverConfig(mu=150.0, epsilon=inst.epsilon, max_iterations=300,
                           warm_start="adjoint")
-    res = solve_penalized(
+    res = solve(
         inst.operator, inst.observation,
         IsotropicTV(iterations=10, warm_start=True), config, truth=inst.truth,
     )
@@ -240,13 +239,13 @@ def test_orthogonal_frame_formulations_agree():
     frame = OrthogonalHaar(inst.truth.shape, levels=4)
     config = SolverConfig(mu=2.0, epsilon=inst.epsilon, max_iterations=500,
                           objective_rel_tol=1e-6, warm_start="adjoint")
-    r_syn = solve_penalized(
+    r_syn = solve(
         SynthesisOperator(inst.operator, frame), inst.observation, L1Norm(),
-        config, truth=inst.truth,
+        config, truth=inst.truth, formulation="synthesis", frame=frame,
     )
-    r_ana = solve_analysis(
-        inst.operator, frame, inst.observation, L1Norm(), config,
-        truth=inst.truth,
+    r_ana = solve(
+        inst.operator, inst.observation, L1Norm(), config,
+        truth=inst.truth, formulation="analysis", frame=frame,
     )
     m_syn = mse(r_syn.estimate, inst.truth)
     m_ana = mse(r_ana.estimate, inst.truth)
@@ -257,8 +256,8 @@ def test_primal_residual_falls_three_orders():
     inst = deblur_instance("uniform", 0.56, size=64, seed=0)
     config = SolverConfig(mu=0.5, epsilon=inst.epsilon, max_iterations=300,
                           objective_rel_tol=0.0, warm_start="observation")
-    res = solve_penalized(inst.operator, inst.observation,
-                          IsotropicTV(iterations=10), config, truth=inst.truth)
+    res = solve(inst.operator, inst.observation,
+                IsotropicTV(iterations=10), config, truth=inst.truth)
     assert res.iterations == 300  # stopping disabled, full budget
     first, last = res.history[0], res.history[-1]
     assert last.primal_residual <= 1e-3 * first.primal_residual
@@ -267,8 +266,8 @@ def test_primal_residual_falls_three_orders():
 def test_history_records_are_finite_and_ordered():
     inst = deblur_instance("inverse_quadratic", np.sqrt(2.0), size=32, seed=0)
     config = SolverConfig(mu=1.0, epsilon=inst.epsilon, max_iterations=30)
-    res = solve_penalized(inst.operator, inst.observation,
-                          IsotropicTV(iterations=5), config, truth=inst.truth)
+    res = solve(inst.operator, inst.observation,
+                IsotropicTV(iterations=5), config, truth=inst.truth)
     assert [rec.k for rec in res.history] == list(range(1, res.iterations + 1))
     for rec in res.history:
         assert np.isfinite(rec.objective)
@@ -312,7 +311,7 @@ def test_stop_rule_works_with_history_recording_disabled():
     y = np.array([[5.0]])
     config = SolverConfig(mu=1.0, epsilon=1.0, max_iterations=200,
                           objective_rel_tol=1e-12, record_history=False)
-    res = solve_penalized(op, y, L1Norm(), config)
+    res = solve(op, y, L1Norm(), config)
     assert res.status == CONVERGED
     assert res.history == []
     assert abs(res.estimate.item() - 4.0) <= 1e-6
@@ -394,5 +393,16 @@ def test_analysis_driver_rejects_composed_operator():
     frame = OrthogonalHaar((8, 8), levels=1)
     composed = SynthesisOperator(op, frame)
     with pytest.raises(ValueError):
-        solve_analysis(composed, frame, np.zeros((8, 8)), L1Norm(),
-                       SolverConfig(mu=1.0, epsilon=0.0, max_iterations=5))
+        solve(composed, np.zeros((8, 8)), L1Norm(),
+              SolverConfig(mu=1.0, epsilon=0.0, max_iterations=5),
+              formulation="analysis", frame=frame)
+
+
+def test_solve_rejects_unknown_formulation_and_missing_frame():
+    op = identity_op((8, 8))
+    config = SolverConfig(mu=1.0, epsilon=0.0, max_iterations=5)
+    with pytest.raises(ValueError):
+        solve(op, np.zeros((8, 8)), L1Norm(), config, formulation="penalized")
+    for formulation in ("synthesis", "analysis"):
+        with pytest.raises(ValueError):
+            solve(op, np.zeros((8, 8)), L1Norm(), config, formulation=formulation)
