@@ -22,14 +22,7 @@ _ENV_OUT = "BALLAST_OUT"
 _CONFIG_KEYS = {
     "experiment": str,
     "name": str,
-    "size": int,
-    "seed": int,
-    "lines": int,
-    "mu": float,
-    "epsilon": float,
-    "sigma": float,
-    "iterations": int,
-    "kernel": str,
+    **{knob: kind for knob, (kind, _) in harness.RUN_KNOBS.items()},
 }
 
 
@@ -85,6 +78,13 @@ def _write_history(run_dir, history):
             )
 
 
+def _write_summary(run_dir, summary):
+    """Write ``summary.json`` into ``run_dir``."""
+    with open(os.path.join(run_dir, "summary.json"), "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=True)
+        fh.write("\n")
+
+
 def write_run_outputs(report, run_dir, partial=False):
     """Write history.csv, timing.csv, summary.json, and the image files.
 
@@ -133,7 +133,7 @@ def write_run_outputs(report, run_dir, partial=False):
         paths["mask"] = "mask.pbm"
 
     paths["summary"] = "summary.json"
-    summary = {
+    _write_summary(run_dir, {
         "name": report.name,
         "formulation": report.formulation,
         "penalty": report.penalty_kind,
@@ -159,10 +159,7 @@ def write_run_outputs(report, run_dir, partial=False):
         },
         "quantization": {"vmin": vmin, "vmax": vmax},
         "files": paths,
-    }
-    with open(os.path.join(run_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=True)
-        fh.write("\n")
+    })
     return paths
 
 
@@ -172,15 +169,7 @@ def _execute_run(spec):
     run_dir = spec["run_dir"]
     try:
         setup = harness.build_experiment(
-            name,
-            size=spec.get("size"),
-            seed=spec.get("seed", 0),
-            lines=spec.get("lines"),
-            mu=spec.get("mu"),
-            iterations=spec.get("iterations"),
-            epsilon=spec.get("epsilon"),
-            sigma=spec.get("sigma"),
-            kernel=spec.get("kernel"),
+            name, **{knob: spec[knob] for knob in harness.RUN_KNOBS if knob in spec}
         )
     except (KeyError, ValueError) as exc:
         return {"name": name, "status": "error", "message": str(exc), "exit": 2}
@@ -190,14 +179,9 @@ def _execute_run(spec):
         # keep whatever history exists so the blow-up can be inspected
         os.makedirs(run_dir, exist_ok=True)
         _write_history(run_dir, exc.history)
-        with open(os.path.join(run_dir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(
-                {"name": spec.get("name") or setup.name, "status": "diverged",
-                 "partial": True, "message": str(exc),
-                 "iterations": len(exc.history)},
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+        _write_summary(run_dir, {"name": spec.get("name") or setup.name,
+                                 "status": "diverged", "partial": True,
+                                 "message": str(exc), "iterations": len(exc.history)})
         return {
             "name": spec.get("name") or setup.name,
             "status": "diverged",
@@ -243,14 +227,8 @@ def _build_parser():
         "--config", action="append", default=[], metavar="FILE",
         help="flat key=value config file; repeatable, one run per file",
     )
-    run.add_argument("--mu", type=float, help="override the ADMM penalty weight")
-    run.add_argument("--epsilon", type=float, help="override the constraint radius")
-    run.add_argument("--iterations", type=int, help="override the iteration budget")
-    run.add_argument("--seed", type=int, help="noise/geometry seed (default 0)")
-    run.add_argument("--size", type=int, help="image side length")
-    run.add_argument("--lines", type=int, help="radial sampling lines (Fourier runs)")
-    run.add_argument("--sigma", type=float, help="override the noise level")
-    run.add_argument("--kernel", help="override the blur kernel family (deblur runs)")
+    for knob, (kind, text) in harness.RUN_KNOBS.items():
+        run.add_argument(f"--{knob}", type=kind, help=text)
     run.add_argument("--jobs", type=int, default=1, help="run up to this many configs at once")
     run.add_argument("--out", help=f"output root (default from ${_ENV_OUT} or ./runs)")
     run.add_argument("--overwrite", action="store_true",
@@ -302,17 +280,13 @@ def _cmd_run(args):
         return 2
 
     overrides = {
-        key: getattr(args, key)
-        for key in ("mu", "epsilon", "iterations", "size", "lines", "sigma", "kernel")
-        if getattr(args, key) is not None
+        knob: getattr(args, knob)
+        for knob in harness.RUN_KNOBS
+        if getattr(args, knob) is not None
     }
     out_root = args.out or os.environ.get(_ENV_OUT) or "runs"
     for spec in specs:
         spec.update(overrides)
-        if args.seed is not None:
-            spec["seed"] = args.seed
-        else:
-            spec.setdefault("seed", 0)
         spec["experiment"] = harness.canonical_experiment_name(spec["experiment"])
         if spec["experiment"] not in harness.EXPERIMENTS:
             print(

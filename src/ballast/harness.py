@@ -8,8 +8,11 @@ Fourier reconstruction of a head phantom and of a high-dynamic-range squares
 target, and inpainting with a random pixel mask.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +45,7 @@ __all__ = [
     "inpainting_instance",
     "RunSetup",
     "ExperimentReport",
+    "RUN_KNOBS",
     "canonical_experiment_name",
     "build_experiment",
     "run_experiment",
@@ -330,9 +334,13 @@ def fourier_squares_instance(size=128, lines=27, sigma=0.1, seed=0, count=15,
     )
 
 
-def inpainting_instance(size=128, missing_fraction=0.4, snr_db=40.0, seed=0, image=None):
-    """Drop a random fraction of pixels; noise sigma set from the requested
-    SNR relative to the observed pixels' power."""
+def inpainting_instance(size=128, missing_fraction=0.4, snr_db=40.0, seed=0, image=None,
+                        sigma=None):
+    """Drop a random fraction of pixels and add white Gaussian noise.
+
+    The noise sigma is ``sigma`` when given, else set from the requested SNR
+    relative to the observed pixels' power.
+    """
     if not (0.0 < missing_fraction < 1.0):
         raise ValueError(f"missing_fraction must be in (0, 1), got {missing_fraction}")
     truth = cartoon(size) if image is None else _as_display_range(image)
@@ -340,7 +348,10 @@ def inpainting_instance(size=128, missing_fraction=0.4, snr_db=40.0, seed=0, ima
     observed = rng.random(truth.shape) >= missing_fraction
     op = PixelMask(observed)
     clean = op.forward(truth)
-    sigma = math.sqrt(float(np.mean(clean**2)) * 10.0 ** (-snr_db / 10.0))
+    if sigma is None:
+        sigma = math.sqrt(float(np.mean(clean**2)) * 10.0 ** (-snr_db / 10.0))
+    else:
+        sigma = float(sigma)
     y = add_noise(clean, sigma, seed + 1)
     eps = epsilon_rule(op.m, sigma)
     return ProblemInstance(
@@ -409,141 +420,88 @@ _CLASS_ALIASES = {"1": "uniform", "2a": "gauss-lo", "2b": "gauss-hi",
 _FORMULATION_TAG = {"direct": "tv", "synthesis": "syn", "analysis": "ana"}
 _TAG_FORMULATION = {v: k for k, v in _FORMULATION_TAG.items()}
 
-# per-family solver settings: (penalty weight mu, iteration budget,
-# objective flatness tolerance), hand-tuned for fastest convergence at the
-# default 128x128 size (tools/tune_mu.py reproduces the sweep)
-_DEBLUR_SETTINGS = {
-    ("uniform", "synthesis"): (2.0, 402, 2e-3),
-    ("gauss-lo", "synthesis"): (1.0, 408, 2e-3),
-    ("gauss-hi", "synthesis"): (1.0, 327, 2e-3),
-    ("iq-lo", "synthesis"): (1.0, 174, 2e-3),
-    ("iq-hi", "synthesis"): (1.0, 123, 5e-3),
-    ("uniform", "analysis"): (2.0, 414, 1e-4),
-    ("gauss-lo", "analysis"): (1.0, 327, 1e-4),
-    ("gauss-hi", "analysis"): (1.0, 261, 1e-4),
-    ("iq-lo", "analysis"): (1.5, 126, 2e-4),
-    ("iq-hi", "analysis"): (1.0, 117, 2e-4),
-    ("uniform", "direct"): (0.5, 696, 1e-4),
-    ("gauss-lo", "direct"): (0.5, 450, 1e-4),
-    ("gauss-hi", "direct"): (0.3, 300, 1e-4),
-    ("iq-lo", "direct"): (1.0, 177, 5e-4),
-    ("iq-hi", "direct"): (0.5, 111, 2e-3),
+_FRAME_LEVELS = 4
+
+# The knobs a run takes, each with its value type and a one-line description.
+# ``mu``, ``iterations`` and ``epsilon`` set the solve and apply to every
+# experiment; the rest are keyword parameters of the instance factories below
+# and apply where an experiment's factory takes them.
+RUN_KNOBS = {
+    "mu": (float, "override the ADMM penalty weight"),
+    "epsilon": (float, "override the constraint radius"),
+    "iterations": (int, "override the iteration budget"),
+    "seed": (int, "noise/geometry seed (default 0)"),
+    "size": (int, "image side length (default 128)"),
+    "lines": (int, "radial sampling lines (Fourier runs)"),
+    "sigma": (float, "override the noise level"),
+    "kernel": (str, "override the blur kernel family (deblur runs)"),
 }
 
-_FRAME_LEVELS = 4
-_MU_PHANTOM = 150.0
-_MU_SQUARES = 5.0
-_MU_INPAINT = 0.05
+# Per-run solver settings: (penalty weight mu, iteration budget, objective
+# flatness tolerance), hand-tuned for fastest convergence at the default
+# 128x128 size (tools/tune_mu.py reproduces the sweep).
+_SETTINGS = {
+    "deblur-uniform-syn": (2.0, 402, 2e-3),
+    "deblur-gauss-lo-syn": (1.0, 408, 2e-3),
+    "deblur-gauss-hi-syn": (1.0, 327, 2e-3),
+    "deblur-iq-lo-syn": (1.0, 174, 2e-3),
+    "deblur-iq-hi-syn": (1.0, 123, 5e-3),
+    "deblur-uniform-ana": (2.0, 414, 1e-4),
+    "deblur-gauss-lo-ana": (1.0, 327, 1e-4),
+    "deblur-gauss-hi-ana": (1.0, 261, 1e-4),
+    "deblur-iq-lo-ana": (1.5, 126, 2e-4),
+    "deblur-iq-hi-ana": (1.0, 117, 2e-4),
+    "deblur-uniform-tv": (0.5, 696, 1e-4),
+    "deblur-gauss-lo-tv": (0.5, 450, 1e-4),
+    "deblur-gauss-hi-tv": (0.3, 300, 1e-4),
+    "deblur-iq-lo-tv": (1.0, 177, 5e-4),
+    "deblur-iq-hi-tv": (0.5, 111, 2e-3),
+    "mri": (150.0, 300, 1e-4),
+    "squares": (5.0, 150, 1e-4),
+    "inpaint": (0.05, 200, 1e-4),
+}
 
 
-def _deblur_setup(blur_class, formulation, size, seed, mu=None, iterations=None,
-                  epsilon=None, sigma=None, kernel=None):
+def _blur_class_instance(blur_class):
+    """Instance factory for one blur class; ``sigma``/``kernel`` override it."""
     kind, variance, noise_sigma = BLUR_CLASSES[blur_class]
-    if kernel is not None:
-        kind = kernel
-    if sigma is not None:
-        noise_sigma = sigma
-    inst = deblur_instance(kind, noise_sigma, size=size, seed=seed, variance=variance)
-    if epsilon is not None:
-        inst.epsilon = float(epsilon)
-    if formulation == "direct":
-        penalty = IsotropicTV(iterations=10)
-        frame = None
-    else:
-        penalty = L1Norm()
-        frame = UndecimatedHaar(inst.truth.shape, levels=_FRAME_LEVELS)
-    default_mu, budget, tol = _DEBLUR_SETTINGS[(blur_class, formulation)]
-    config = SolverConfig(
-        mu=default_mu if mu is None else mu,
-        epsilon=inst.epsilon,
-        max_iterations=budget if iterations is None else iterations,
-        objective_rel_tol=tol,
-        warm_start="observation",
-    )
-    name = f"deblur-{blur_class}-{_FORMULATION_TAG[formulation]}"
-    return RunSetup(name=name, instance=inst, penalty=penalty,
-                    formulation=formulation, frame=frame, config=config)
+
+    def instance(size=128, seed=0, sigma=noise_sigma, kernel=kind):
+        return deblur_instance(kernel, sigma, size=size, seed=seed, variance=variance)
+
+    return instance
 
 
-def _phantom_setup(size, seed, lines=None, mu=None, iterations=None, epsilon=None,
-                   sigma=None):
-    inst = fourier_phantom_instance(
-        size=size,
-        lines=22 if lines is None else lines,
-        sigma=math.sqrt(0.5e-6) if sigma is None else sigma,
-        seed=seed,
-    )
-    if epsilon is not None:
-        inst.epsilon = float(epsilon)
-    config = SolverConfig(
-        mu=_MU_PHANTOM if mu is None else mu,
-        epsilon=inst.epsilon,
-        max_iterations=300 if iterations is None else iterations,
-        warm_start="adjoint",
-    )
-    return RunSetup(name="mri", instance=inst,
-                    penalty=IsotropicTV(iterations=10, warm_start=True),
-                    formulation="direct", frame=None, config=config)
+class _Experiment(NamedTuple):
+    """One catalog entry; its solver settings are ``_SETTINGS[name]``."""
+
+    instance: object  # factory taking size=, seed= and the entry's instance knobs
+    formulation: str  # "direct" | "synthesis" | "analysis"
+    penalty: object  # factory, called fresh on every build
+    warm_start: str
 
 
-def _squares_setup(size, seed, lines=None, mu=None, iterations=None, epsilon=None,
-                   sigma=None):
-    inst = fourier_squares_instance(
-        size=size,
-        lines=27 if lines is None else lines,
-        sigma=0.1 if sigma is None else sigma,
-        seed=seed,
-    )
-    if epsilon is not None:
-        inst.epsilon = float(epsilon)
-    config = SolverConfig(
-        mu=_MU_SQUARES if mu is None else mu,
-        epsilon=inst.epsilon,
-        max_iterations=150 if iterations is None else iterations,
-        warm_start="adjoint",
-    )
-    return RunSetup(name="squares", instance=inst, penalty=IsotropicTV(iterations=10),
-                    formulation="direct", frame=None, config=config)
+EXPERIMENTS = {
+    **{
+        f"deblur-{blur_class}-{tag}": _Experiment(
+            _blur_class_instance(blur_class), formulation,
+            IsotropicTV if formulation == "direct" else L1Norm, "observation",
+        )
+        for blur_class in BLUR_CLASSES
+        for formulation, tag in _FORMULATION_TAG.items()
+    },
+    "mri": _Experiment(fourier_phantom_instance, "direct",
+                       partial(IsotropicTV, warm_start=True), "adjoint"),
+    "squares": _Experiment(fourier_squares_instance, "direct", IsotropicTV, "adjoint"),
+    "inpaint": _Experiment(inpainting_instance, "direct", IsotropicTV, "adjoint"),
+}
 
-
-def _inpaint_setup(size, seed, lines=None, mu=None, iterations=None, epsilon=None,
-                   sigma=None):
-    inst = inpainting_instance(size=size, seed=seed)
-    if sigma is not None:
-        inst.sigma = float(sigma)
-        clean = inst.operator.forward(inst.truth)
-        inst.observation = add_noise(clean, inst.sigma, seed + 1)
-        inst.epsilon = epsilon_rule(inst.operator.m, inst.sigma)
-        inst.degraded = inst.operator.adjoint(inst.observation)
-    if epsilon is not None:
-        inst.epsilon = float(epsilon)
-    config = SolverConfig(
-        mu=_MU_INPAINT if mu is None else mu,
-        epsilon=inst.epsilon,
-        max_iterations=200 if iterations is None else iterations,
-        warm_start="adjoint",
-    )
-    return RunSetup(name="inpaint", instance=inst, penalty=IsotropicTV(iterations=10),
-                    formulation="direct", frame=None, config=config)
-
-
-def _register_experiments():
-    catalog = {}
-    for blur_class in BLUR_CLASSES:
-        for formulation in ("synthesis", "analysis", "direct"):
-            tag = _FORMULATION_TAG[formulation]
-            catalog[f"deblur-{blur_class}-{tag}"] = (
-                lambda size, seed, bc=blur_class, fm=formulation, **kw: _deblur_setup(
-                    bc, fm, size or 128, seed, **kw
-                )
-            )
-    catalog["mri"] = lambda size, seed, **kw: _phantom_setup(size or 128, seed, **kw)
-    catalog["squares"] = lambda size, seed, **kw: _squares_setup(size or 128, seed, **kw)
-    catalog["inpaint"] = lambda size, seed, **kw: _inpaint_setup(size or 128, seed, **kw)
-    return catalog
-
-
-EXPERIMENTS = _register_experiments()
+# each entry's instance-factory parameters, read at import so that checking
+# a build's knobs against them costs nothing per build
+_FACTORY_PARAMETERS = {
+    name: frozenset(inspect.signature(entry.instance).parameters)
+    for name, entry in EXPERIMENTS.items()
+}
 
 
 def experiment_names():
@@ -573,32 +531,45 @@ def canonical_experiment_name(name):
     return f"deblur-{blur_class}-{tag}"
 
 
-def build_experiment(name, size=None, seed=0, lines=None, mu=None, iterations=None,
-                     epsilon=None, sigma=None, kernel=None):
-    """Instantiate a catalog experiment, optionally overriding its knobs."""
+def build_experiment(name, **knobs):
+    """Instantiate a catalog experiment, optionally overriding its knobs.
+
+    ``knobs`` are named in ``RUN_KNOBS``; a knob left out or given as None
+    keeps the experiment's default (size 128, seed 0).  A knob the
+    experiment does not take raises ``ValueError`` naming it.
+    """
     name = canonical_experiment_name(name)
     if name not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {name!r}; available: {', '.join(experiment_names())}"
         )
-    kwargs = {}
-    if lines is not None:
-        kwargs["lines"] = lines
-    if mu is not None:
-        kwargs["mu"] = mu
-    if iterations is not None:
-        kwargs["iterations"] = iterations
+    unknown = sorted(set(knobs) - set(RUN_KNOBS))
+    if unknown:
+        raise TypeError(f"unknown run knob(s): {', '.join(unknown)}")
+    entry = EXPERIMENTS[name]
+    knobs = {knob: value for knob, value in knobs.items() if value is not None}
+    mu, budget, tol = _SETTINGS[name]
+    mu = knobs.pop("mu", mu)
+    budget = knobs.pop("iterations", budget)
+    epsilon = knobs.pop("epsilon", None)
+    for knob in knobs:
+        if knob not in _FACTORY_PARAMETERS[name]:
+            raise ValueError(f"knob {knob!r} does not apply to experiment {name!r}")
+    inst = entry.instance(**knobs)
     if epsilon is not None:
-        kwargs["epsilon"] = epsilon
-    if sigma is not None:
-        kwargs["sigma"] = sigma
-    if kernel is not None:
-        kwargs["kernel"] = kernel
-    if lines is not None and name.startswith("deblur"):
-        raise ValueError("--lines only applies to Fourier-sampled experiments")
-    if kernel is not None and not name.startswith("deblur"):
-        raise ValueError("--kernel only applies to deblurring experiments")
-    return EXPERIMENTS[name](size, seed, **kwargs)
+        inst.epsilon = float(epsilon)
+    frame = None
+    if entry.formulation != "direct":
+        frame = UndecimatedHaar(inst.truth.shape, levels=_FRAME_LEVELS)
+    config = SolverConfig(
+        mu=mu,
+        epsilon=inst.epsilon,
+        max_iterations=budget,
+        objective_rel_tol=tol,
+        warm_start=entry.warm_start,
+    )
+    return RunSetup(name=name, instance=inst, penalty=entry.penalty(),
+                    formulation=entry.formulation, frame=frame, config=config)
 
 
 def run_experiment(setup, truth_metrics=True, counting=True):

@@ -96,6 +96,19 @@ def test_repeat_runs_are_byte_identical_apart_from_timing(tmp_path):
         assert a == b, f"{fname} differs between identical runs"
 
 
+@pytest.mark.parametrize(
+    "flag,value,fragment",
+    [("--size", "0", "n must be"), ("--lines", "0", "'lines'"),
+     ("--kernel", "gaussian", "'kernel'")],
+)
+def test_out_of_range_or_inapplicable_knob_is_usage_error(tmp_path, capsys, flag,
+                                                           value, fragment):
+    code = run_cli("run", "--experiment", "inpaint", flag, value, "--out", str(tmp_path))
+    assert code == 2
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "inpaint").exists()
+
+
 def test_overwrite_guard(tmp_path, capsys):
     args = ("run", "--experiment", "inpaint", "--size", "32",
             "--iterations", "10", "--out", str(tmp_path))

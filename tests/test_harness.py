@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ballast.frames import UndecimatedHaar
 from ballast.harness import (
     BLUR_CLASSES,
     build_experiment,
@@ -325,6 +326,59 @@ def test_build_experiment_resolves_aliases():
     assert setup.frame is None
 
 
+# Every catalog entry as built at size 32: formulation, penalty kind, TV prox
+# warm start, frame levels (None: no frame), mu, iteration budget, objective
+# tolerance, solver warm start, noise sigma and ball radius.
+_SQ2, _SQ8 = math.sqrt(2.0), math.sqrt(8.0)
+_OBS, _ADJ = "observation", "adjoint"
+_EPS_UNIFORM, _EPS_LO, _EPS_HI = 20.03516907839812, 50.59644256269407, 101.19288512538814
+_CATALOG = {
+    "deblur-uniform-syn": ("synthesis", "l1", None, 4, 2.0, 402, 2e-3, _OBS, 0.56, _EPS_UNIFORM),
+    "deblur-gauss-lo-syn": ("synthesis", "l1", None, 4, 1.0, 408, 2e-3, _OBS, _SQ2, _EPS_LO),
+    "deblur-gauss-hi-syn": ("synthesis", "l1", None, 4, 1.0, 327, 2e-3, _OBS, _SQ8, _EPS_HI),
+    "deblur-iq-lo-syn": ("synthesis", "l1", None, 4, 1.0, 174, 2e-3, _OBS, _SQ2, _EPS_LO),
+    "deblur-iq-hi-syn": ("synthesis", "l1", None, 4, 1.0, 123, 5e-3, _OBS, _SQ8, _EPS_HI),
+    "deblur-uniform-ana": ("analysis", "l1", None, 4, 2.0, 414, 1e-4, _OBS, 0.56, _EPS_UNIFORM),
+    "deblur-gauss-lo-ana": ("analysis", "l1", None, 4, 1.0, 327, 1e-4, _OBS, _SQ2, _EPS_LO),
+    "deblur-gauss-hi-ana": ("analysis", "l1", None, 4, 1.0, 261, 1e-4, _OBS, _SQ8, _EPS_HI),
+    "deblur-iq-lo-ana": ("analysis", "l1", None, 4, 1.5, 126, 2e-4, _OBS, _SQ2, _EPS_LO),
+    "deblur-iq-hi-ana": ("analysis", "l1", None, 4, 1.0, 117, 2e-4, _OBS, _SQ8, _EPS_HI),
+    "deblur-uniform-tv": ("direct", "tv", False, None, 0.5, 696, 1e-4, _OBS, 0.56, _EPS_UNIFORM),
+    "deblur-gauss-lo-tv": ("direct", "tv", False, None, 0.5, 450, 1e-4, _OBS, _SQ2, _EPS_LO),
+    "deblur-gauss-hi-tv": ("direct", "tv", False, None, 0.3, 300, 1e-4, _OBS, _SQ8, _EPS_HI),
+    "deblur-iq-lo-tv": ("direct", "tv", False, None, 1.0, 177, 5e-4, _OBS, _SQ2, _EPS_LO),
+    "deblur-iq-hi-tv": ("direct", "tv", False, None, 0.5, 111, 2e-3, _OBS, _SQ8, _EPS_HI),
+    "mri": ("direct", "tv", True, None, 150.0, 300, 1e-4, _ADJ, math.sqrt(0.5e-6),
+            0.019581027308756157),
+    "squares": ("direct", "tv", False, None, 5.0, 150, 1e-4, _ADJ, 0.1, 2.969330025059449),
+    "inpaint": ("direct", "tv", False, None, 0.05, 200, 1e-4, _ADJ, 0.9297886137166786,
+                26.96751808247105),
+}
+
+
+def test_catalog_pins_every_entry():
+    assert sorted(_CATALOG) == experiment_names()
+    for name, expected in _CATALOG.items():
+        (formulation, kind, tv_warm, levels, mu, budget, tol, warm_start,
+         sigma, epsilon) = expected
+        setup = build_experiment(name, size=32)
+        assert setup.name == name
+        assert setup.formulation == formulation, name
+        assert setup.penalty.kind == kind, name
+        assert getattr(setup.penalty, "warm_start", None) == tv_warm, name
+        if levels is None:
+            assert setup.frame is None, name
+        else:
+            assert type(setup.frame) is UndecimatedHaar, name
+            assert setup.frame.levels == levels, name
+        config = setup.config
+        assert (config.mu, config.max_iterations, config.objective_rel_tol,
+                config.warm_start) == (mu, budget, tol, warm_start), name
+        assert setup.instance.sigma == pytest.approx(sigma, rel=1e-12), name
+        assert setup.instance.epsilon == pytest.approx(epsilon, rel=1e-12), name
+        assert config.epsilon == setup.instance.epsilon, name
+
+
 def test_build_experiment_rejects_unknown_and_misfit_knobs():
     with pytest.raises(KeyError, match="available"):
         build_experiment("warp-field")
@@ -332,6 +386,20 @@ def test_build_experiment_rejects_unknown_and_misfit_knobs():
         build_experiment("deblur-1", lines=10)
     with pytest.raises(ValueError, match="kernel"):
         build_experiment("mri", kernel="gaussian")
+    with pytest.raises(ValueError, match="lines"):
+        build_experiment("inpaint", lines=0)
+    with pytest.raises(ValueError, match="kernel"):
+        build_experiment("squares", kernel="uniform")
+    with pytest.raises(TypeError, match="warp"):
+        build_experiment("mri", warp=3)
+
+
+def test_size_none_means_128_and_other_sizes_reach_the_scene_generator():
+    assert build_experiment("inpaint").instance.truth.shape == (128, 128)
+    assert build_experiment("inpaint", size=None).instance.truth.shape == (128, 128)
+    for name in ("inpaint", "mri", "deblur-1-syn"):
+        with pytest.raises(ValueError, match="n must be"):
+            build_experiment(name, size=0)
 
 
 def test_build_experiment_overrides():

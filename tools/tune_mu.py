@@ -4,8 +4,9 @@ For each (experiment, mu, tol) combination this reports the quantities the
 benchmark suite later asserts: iterations to convergence vs. budget, final
 feasibility, whether the constraint norm crosses epsilon from above, the
 iteration where the objective peaks, and how many objective increases remain
-after iteration 10.  The tuned values live in ballast.harness._DEBLUR_SETTINGS
-and the _MU_* constants; this script reproduces the evidence behind them.
+after iteration 10.  The tuned values live in ballast.harness._SETTINGS (one
+(mu, budget, tol) row per catalog run); this script reproduces the evidence
+behind them.
 
 Usage:
     python3 tools/tune_mu.py deblur-uniform-tv --mu 0.3,0.5,1.0
@@ -19,8 +20,7 @@ import time
 
 import numpy as np
 
-from ballast import build_experiment, run_experiment
-from ballast.harness import BLUR_CLASSES, _FORMULATION_TAG
+from ballast import build_experiment, experiment_names, run_experiment
 
 
 def analyze(report):
@@ -35,6 +35,8 @@ def analyze(report):
     crossed = bool(con.max() > eps and con.min() <= eps)
     feasible = bool(report.final_constraint_norm <= 1.01 * eps)
     return {
+        "mu": report.config.mu,
+        "tol": report.config.objective_rel_tol,
         "status": report.status,
         "iters": report.iterations,
         "budget": report.config.max_iterations,
@@ -60,7 +62,7 @@ def run_one(name, mu=None, tol=None, size=None, iterations=None, seed=0):
     return info
 
 
-def fmt(name, mu, tol, info):
+def fmt(name, info):
     ok = (
         info["status"] == "converged"
         and info["feasible"]
@@ -69,7 +71,7 @@ def fmt(name, mu, tol, info):
         and info["viol10"] == 0
     )
     return (
-        f"{name:24s} mu={mu:<8g} tol={tol:<8g} "
+        f"{name:24s} mu={info['mu']:<8g} tol={info['tol']:<8g} "
         f"{info['status']:9s} k={info['iters']:3d}/{info['budget']:3d} "
         f"mse={info['mse']:10.4g} feas={int(info['feasible'])} "
         f"cross={int(info['crossed'])} peak={info['peak']:3d} "
@@ -92,11 +94,7 @@ def main():
     tols = [float(x) for x in args.tol.split(",")] if args.tol else [None]
 
     if args.experiment == "all-deblur":
-        names = [
-            f"deblur-{c}-{_FORMULATION_TAG[f]}"
-            for c in BLUR_CLASSES
-            for f in ("synthesis", "analysis", "direct")
-        ]
+        names = [n for n in experiment_names() if n.startswith("deblur-")]
     else:
         names = [args.experiment]
 
@@ -109,8 +107,7 @@ def main():
                 except Exception as exc:  # diverged runs are data too
                     print(f"{name:24s} mu={mu} tol={tol} FAILED: {exc}")
                     continue
-                print(fmt(name, mu if mu is not None else -1,
-                          tol if tol is not None else -1, info))
+                print(fmt(name, info))
                 sys.stdout.flush()
 
 
