@@ -49,17 +49,14 @@ from .prox import (
     tv_prox,
 )
 from .solver import (
-    Block,
     DivergenceError,
     IterationRecord,
     SolveResult,
     SolverConfig,
     SolverState,
-    SplitSpec,
-    admm2_solve,
-    admm2_step,
     check_stop,
     solve,
+    step,
 )
 from .validate import run_suite
 
@@ -103,17 +100,14 @@ __all__ = [
     "soft_threshold",
     "tv_norm",
     "tv_prox",
-    "Block",
     "DivergenceError",
     "IterationRecord",
     "SolveResult",
     "SolverConfig",
     "SolverState",
-    "SplitSpec",
-    "admm2_solve",
-    "admm2_step",
     "check_stop",
     "solve",
+    "step",
     "run_suite",
     "__version__",
 ]

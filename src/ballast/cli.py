@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import harness, pnm
-from .solver import CONVERGED, DivergenceError
+from .solver import CONVERGED, FEASIBILITY_SLACK, DivergenceError
 
 __all__ = ["main", "parse_config", "write_run_outputs", "ConfigError"]
 
@@ -191,9 +191,7 @@ def _execute_run(spec):
         }
     run_name = spec.get("name") or setup.name
     write_run_outputs(report, run_dir)
-    feasible = report.final_constraint_norm <= (
-        (1.0 + report.config.feasibility_slack) * report.epsilon
-    )
+    feasible = report.final_constraint_norm <= (1.0 + FEASIBILITY_SLACK) * report.epsilon
     if report.status == CONVERGED or feasible:
         code = 0
     else:

@@ -431,7 +431,7 @@ RUN_KNOBS = {
     "epsilon": (float, "override the constraint radius"),
     "iterations": (int, "override the iteration budget"),
     "seed": (int, "noise/geometry seed (default 0)"),
-    "size": (int, "image side length (default 128)"),
+    "size": (int, "image side length (default 128, at least 16)"),
     "lines": (int, "radial sampling lines (Fourier runs)"),
     "sigma": (float, "override the noise level"),
     "kernel": (str, "override the blur kernel family (deblur runs)"),
@@ -496,6 +496,10 @@ EXPERIMENTS = {
     "inpaint": _Experiment(inpainting_instance, "direct", IsotropicTV, "adjoint"),
 }
 
+# smallest image side any catalog run takes: the cartoon and squares scenes
+# need 16 pixels, and one floor for every run keeps --size uniform
+_MIN_SIZE = 16
+
 # each entry's instance-factory parameters, read at import so that checking
 # a build's knobs against them costs nothing per build
 _FACTORY_PARAMETERS = {
@@ -536,7 +540,8 @@ def build_experiment(name, **knobs):
 
     ``knobs`` are named in ``RUN_KNOBS``; a knob left out or given as None
     keeps the experiment's default (size 128, seed 0).  A knob the
-    experiment does not take raises ``ValueError`` naming it.
+    experiment does not take, or a size below 16, raises ``ValueError``
+    naming it.
     """
     name = canonical_experiment_name(name)
     if name not in EXPERIMENTS:
@@ -548,6 +553,8 @@ def build_experiment(name, **knobs):
         raise TypeError(f"unknown run knob(s): {', '.join(unknown)}")
     entry = EXPERIMENTS[name]
     knobs = {knob: value for knob, value in knobs.items() if value is not None}
+    if knobs.get("size", _MIN_SIZE) < _MIN_SIZE:
+        raise ValueError(f"knob 'size' must be >= {_MIN_SIZE}, got {knobs['size']}")
     mu, budget, tol = _SETTINGS[name]
     mu = knobs.pop("mu", mu)
     budget = knobs.pop("iterations", budget)
@@ -572,15 +579,14 @@ def build_experiment(name, **knobs):
                     formulation=entry.formulation, frame=frame, config=config)
 
 
-def run_experiment(setup, truth_metrics=True, counting=True):
+def run_experiment(setup, counting=True):
     """Solve one RunSetup and assemble the report."""
     inst = setup.instance
     op = inst.operator
     if setup.formulation == "synthesis":
         op = SynthesisOperator(op, setup.frame)
     counted = CountingOperator(op) if counting else op
-    truth = inst.truth if truth_metrics else None
-    result = solve(counted, inst.observation, setup.penalty, setup.config, truth=truth,
+    result = solve(counted, inst.observation, setup.penalty, setup.config, truth=inst.truth,
                    formulation=setup.formulation, frame=setup.frame)
     estimate = result.estimate
     final_mse = mse(estimate, inst.truth)

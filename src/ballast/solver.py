@@ -1,15 +1,15 @@
-"""Constrained ADMM engine.
+"""Constrained ADMM engine: C-SALSA on one fixed two-block split.
 
 The problem solved here is
 
     minimize  phi(x)   subject to  ||B x - y||_2 <= epsilon,
 
-attacked by variable splitting with one block per term: a penalty block
+attacked by variable splitting with two blocks: a penalty block ``P``
 (identity or frame analysis) and a feasibility block (the observation
-operator, whose prox is projection onto the epsilon-ball around y).  Each
-outer iteration solves the quadratic u-update through the operator's
-closed-form shifted-normal inverse, then applies one prox and one dual
-update per block.
+operator ``B``, whose prox is projection onto the epsilon-ball around y).
+Each iteration, ``step``, solves the quadratic u-update through the
+operator's closed-form shifted-normal inverse, then applies one prox and one
+dual update per block.
 
 One driver, ``solve``, covers the three formulations: it splits as
 [identity; B] and regularizes the unknown itself, which is the image
@@ -19,6 +19,7 @@ coefficients of the image (``"analysis"``).
 """
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,15 +27,12 @@ import numpy as np
 from .prox import BallConstraint, project_ball
 
 __all__ = [
-    "Block",
-    "SplitSpec",
     "SolverConfig",
     "SolverState",
     "IterationRecord",
     "SolveResult",
     "DivergenceError",
-    "admm2_step",
-    "admm2_solve",
+    "step",
     "solve",
     "check_stop",
 ]
@@ -43,14 +41,19 @@ CONTINUE = "continue"
 CONVERGED = "converged"
 EXHAUSTED = "exhausted"
 
+# Convergence needs the constraint norm within (1 + FEASIBILITY_SLACK) *
+# epsilon and a flat objective over the last OBJECTIVE_WINDOW records.
+FEASIBILITY_SLACK = 0.01
+OBJECTIVE_WINDOW = 5
+
 
 class DivergenceError(RuntimeError):
     """An iterate went non-finite; carries the solver state and the history.
 
-    The state is not rolled back to the last finite iterate.  When block
-    ``j``'s prox goes non-finite, ``v`` and ``d`` of the blocks before ``j``
-    already hold the failing iteration's update, while ``u`` and ``k`` are
-    still those of the iteration before it.
+    ``state`` is the last iterate whose ``u``, ``v[0]`` and ``v[1]`` are all
+    finite: ``step`` commits an update only once all three are.  When the
+    iteration's record is what goes non-finite, ``state`` is the iterate
+    that record describes.
     """
 
     def __init__(self, message, state=None, history=None):
@@ -60,42 +63,13 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass
-class Block:
-    """One splitting term: a linear map, its adjoint, and the prox of its penalty.
-
-    ``prox(s, mu, carry)`` must return the minimizer of
-    ``g(v) + (mu/2)||v - s||^2``; ``carry`` is a per-block scratch dict for
-    opt-in warm starts and is ignored by stateless proxes.
-    """
-
-    forward: callable
-    adjoint: callable
-    prox: callable
-
-
-@dataclass
-class SplitSpec:
-    """The blocks plus the closed-form inverse of ``sum_j H_j^H H_j + ...``.
-
-    ``normal_inverse(r)`` must apply ``(sum_j H_j^H H_j)^{-1}``; for every
-    formulation of ``solve`` that matrix is ``I + B^H B`` and the inverse
-    comes from the operator's Woodbury closed form.
-    """
-
-    blocks: list
-    normal_inverse: callable
-
-
-@dataclass
 class SolverConfig:
     """Knobs for one solve; validated on construction."""
 
     mu: float = 1.0
     epsilon: float = 0.0
     max_iterations: int = 500
-    feasibility_slack: float = 0.01
     objective_rel_tol: float = 1e-4
-    objective_window: int = 5
     warm_start: str = "zero"  # "zero" | "adjoint" | "observation"
     record_history: bool = True
 
@@ -112,20 +86,19 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Mutable per-solve state; confined to a single solve call."""
+    """Mutable per-solve state; confined to a single solve call.
+
+    ``v`` and ``d`` hold the penalty block's and the feasibility block's
+    split variables and scaled duals; ``hu`` holds ``[P u, B u]`` from the
+    latest step and ``carry`` is the penalty prox's warm-start scratch.
+    """
 
     u: object
     v: list
     d: list
     k: int = 0
-    history: list = field(default_factory=list)
-    scratch: list = field(default_factory=list)
-    last_record: object = field(default=None, repr=False)
-    _hu: list = field(default_factory=list, repr=False)
-
-    def last_forward(self):
-        """Block images H_j u from the most recent step (no operator calls)."""
-        return self._hu
+    hu: list = field(default=None, repr=False)
+    carry: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -153,148 +126,59 @@ def _l2(a):
     return float(np.linalg.norm(np.ravel(a)))
 
 
-def admm2_step(state, split, config, recorder=None):
-    """One outer iteration: u-update, then a prox and dual update per block.
+def _identity(x):
+    return x
 
-    The dual update is written in the fixed order ``(d - Hu) + v`` so that
-    reruns recompute it bitwise; cached forward applications are kept on the
-    state so instrumentation never re-applies an operator.  When a
-    ``recorder`` is given it is called on the stepped state and the record is
-    appended to ``state.history`` (unless history recording is disabled).
+
+def step(state, op, ball, penalty, mu, analysis=_identity, synthesis=_identity):
+    """One C-SALSA iteration on the split ``[P; B]`` with ``P = analysis``.
+
+    The u-update applies ``op.shifted_normal_inverse``, which is
+    ``(P^H P + B^H B)^{-1}`` because ``P^H P = I``.  The penalty block's prox
+    is ``penalty.prox(., 1/mu, state.carry)`` and the feasibility block's is
+    ``project_ball(., ball)``; each dual update is written in the fixed order
+    ``(d - Hu) + v`` so that reruns recompute it bitwise.  The state is
+    updated only once ``u``, ``v[0]`` and ``v[1]`` are all finite.
     """
-    zeta = [v + d for v, d in zip(state.v, state.d)]
-    r = None
-    for block, z in zip(split.blocks, zeta):
-        term = block.adjoint(z)
-        r = term if r is None else r + term
-    u = split.normal_inverse(r)
+    d0, d1 = state.d
+    u = op.shifted_normal_inverse(synthesis(state.v[0] + d0) + op.adjoint(state.v[1] + d1))
     if not np.all(np.isfinite(u)):
         raise DivergenceError(f"non-finite u at iteration {state.k + 1}", state=state)
-    hu_list = []
-    for j, block in enumerate(split.blocks):
-        hu = block.forward(u)
-        s = hu - state.d[j]
-        v_new = block.prox(s, config.mu, state.scratch[j])
-        if not np.all(np.isfinite(v_new)):
-            raise DivergenceError(
-                f"non-finite v[{j}] at iteration {state.k + 1}", state=state
-            )
-        state.d[j] = (state.d[j] - hu) + v_new
-        state.v[j] = v_new
-        hu_list.append(hu)
+    hu0 = analysis(u)
+    v0 = penalty.prox(hu0 - d0, 1.0 / mu, state.carry)
+    if not np.all(np.isfinite(v0)):
+        raise DivergenceError(f"non-finite v[0] at iteration {state.k + 1}", state=state)
+    hu1 = op.forward(u)
+    v1 = project_ball(hu1 - d1, ball)
+    if not np.all(np.isfinite(v1)):
+        raise DivergenceError(f"non-finite v[1] at iteration {state.k + 1}", state=state)
     state.u = u
-    state._hu = hu_list
+    state.v = [v0, v1]
+    state.d = [(d0 - hu0) + v0, (d1 - hu1) + v1]
+    state.hu = [hu0, hu1]
     state.k += 1
-    if recorder is not None:
-        record = recorder(state)
-        state.last_record = record
-        if config.record_history:
-            state.history.append(record)
     return state
 
 
 def check_stop(history, config):
     """Feasible and objective-flat => converged; out of budget => exhausted.
 
-    Convergence needs the constraint norm within ``(1 + feasibility_slack) *
+    Convergence needs the constraint norm within ``(1 + FEASIBILITY_SLACK) *
     epsilon`` and the relative objective change over the last
-    ``objective_window`` records below ``objective_rel_tol``.
+    ``OBJECTIVE_WINDOW`` records below ``objective_rel_tol``.
     """
     if not history:
         return CONTINUE
     rec = history[-1]
-    feasible = rec.constraint_norm <= (1.0 + config.feasibility_slack) * config.epsilon
-    if feasible and len(history) > config.objective_window:
-        past = history[-1 - config.objective_window].objective
+    feasible = rec.constraint_norm <= (1.0 + FEASIBILITY_SLACK) * config.epsilon
+    if feasible and len(history) > OBJECTIVE_WINDOW:
+        past = history[-1 - OBJECTIVE_WINDOW].objective
         scale = max(abs(rec.objective), abs(past), 1e-30)
         if abs(rec.objective - past) / scale <= config.objective_rel_tol:
             return CONVERGED
     if rec.k >= config.max_iterations:
         return EXHAUSTED
     return CONTINUE
-
-
-def admm2_solve(split, config, state, recorder):
-    """Drive ``admm2_step`` until ``check_stop`` says otherwise.
-
-    ``recorder(state)`` turns the post-step state into an IterationRecord;
-    records land in ``state.history`` (unless disabled) and the history is
-    returned alongside the status even when a divergence aborts the loop.
-    """
-    recent = []  # rolling window so the stop test works with history disabled
-    while True:
-        try:
-            admm2_step(state, split, config, recorder)
-        except DivergenceError as err:
-            err.history = state.history
-            raise
-        recent.append(state.last_record)
-        if len(recent) > config.objective_window + 1:
-            recent.pop(0)
-        decision = check_stop(recent, config)
-        if decision == CONVERGED:
-            return CONVERGED, state.history
-        if decision == EXHAUSTED or state.k >= config.max_iterations:
-            return EXHAUSTED, state.history
-
-
-def _init_state(blocks_shapes, op, y, config, forwards, observation_start=None):
-    """Initialize v and d in the block ranges.
-
-    Modes: "zero" starts everything at 0; "adjoint" starts from the
-    back-projection ``u0 = B^H y``; "observation" starts from the observed
-    image itself (deconvolution-style problems where it lives in the domain).
-    In the warm modes ``v_j = H_j u0`` and the duals stay zero.
-    """
-    if config.warm_start == "adjoint":
-        u0 = op.adjoint(y)
-        v = [fwd(u0) for fwd in forwards]
-    elif config.warm_start == "observation":
-        if observation_start is None:
-            raise ValueError(
-                "observation warm start needs the observation in the unknown's domain"
-            )
-        u0 = observation_start
-        v = [fwd(u0) for fwd in forwards]
-    else:
-        u0 = None
-        v = [np.zeros(shape, dtype=dtype) for shape, dtype in blocks_shapes]
-    d = [np.zeros_like(vj) for vj in v]
-    return SolverState(u=u0, v=v, d=d, scratch=[{} for _ in v])
-
-
-def _make_recorder(objective_of, y, truth, image_of):
-    t0 = time.perf_counter()
-
-    def recorder(state):
-        hu_penalty, hu_obs = state.last_forward()
-        objective = objective_of(hu_penalty)
-        constraint = _l2(hu_obs - y)
-        primal = np.sqrt(
-            sum(_l2(hu - v) ** 2 for hu, v in zip(state.last_forward(), state.v))
-        )
-        if not (np.isfinite(objective) and np.isfinite(constraint) and np.isfinite(primal)):
-            raise DivergenceError(
-                f"non-finite instrumentation at iteration {state.k}", state=state
-            )
-        mse = float("nan")
-        if truth is not None:
-            err = image_of(state.u) - truth
-            mse = float(np.mean(np.abs(err) ** 2))
-        return IterationRecord(
-            k=state.k,
-            objective=objective,
-            constraint_norm=constraint,
-            primal_residual=float(primal),
-            wall_time=time.perf_counter() - t0,
-            mse=mse,
-        )
-
-    return recorder
-
-
-def _identity(x):
-    return x
 
 
 def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
@@ -308,6 +192,11 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
       the plain image-domain operator, and the frame must be Parseval so
       that ``P^H P = I`` lets the u-update reuse the operator's
       shifted-normal inverse unchanged.
+
+    Warm starts (``config.warm_start``): ``"zero"`` starts every block at 0;
+    ``"adjoint"`` starts from the back-projection ``u0 = B^H y`` and
+    ``"observation"`` from the observed image itself, with ``v = [H u0,
+    B u0]`` and zero duals in both.
     """
     if formulation not in ("direct", "synthesis", "analysis"):
         raise ValueError(f"unknown formulation {formulation!r}")
@@ -315,45 +204,69 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
         raise ValueError(f"the {formulation} formulation needs a frame")
     y = np.asarray(y)
     ball = BallConstraint(y, config.epsilon)
-    # the penalty block (H, H^H, shape of H u), then the maps between the
-    # unknown and the image, both ways, and the image shape
-    penalty_forward, penalty_adjoint, penalty_shape = _identity, _identity, op.in_shape
+    # the penalty block (H = analysis, H^H = synthesis, shape of H u), then the
+    # maps between the unknown and the image, both ways, and the image shape
+    analysis, synthesis, penalty_shape = _identity, _identity, op.in_shape
     image_of, unknown_of, image_shape = _identity, _identity, op.in_shape
     if formulation == "synthesis":
         image_of, unknown_of, image_shape = frame.synthesis, frame.analysis, frame.image_shape
     elif formulation == "analysis":
         if tuple(op.in_shape) != tuple(frame.image_shape):
             raise ValueError("analysis formulation needs an image-domain operator")
-        penalty_forward, penalty_adjoint = frame.analysis, frame.synthesis
+        analysis, synthesis = frame.analysis, frame.synthesis
         penalty_shape = (frame.coefficient_length,)
-    blocks = [
-        Block(
-            forward=penalty_forward,
-            adjoint=penalty_adjoint,
-            prox=lambda s, mu, carry: penalty.prox(s, 1.0 / mu, carry),
-        ),
-        Block(
-            forward=op.forward,
-            adjoint=op.adjoint,
-            prox=lambda s, mu, carry: project_ball(s, ball),
-        ),
-    ]
-    split = SplitSpec(blocks=blocks, normal_inverse=op.shifted_normal_inverse)
-    shapes = [(penalty_shape, np.float64), (op.out_shape, op.out_dtype)]
-    obs_start = None
-    if config.warm_start == "observation":
-        if y.shape != tuple(image_shape):
-            raise ValueError("observation warm start needs an image-shaped observation")
-        obs_start = unknown_of(np.array(y, dtype=np.float64, copy=True))
-    state = _init_state(shapes, op, y, config, [b.forward for b in blocks], obs_start)
-    recorder = _make_recorder(penalty.evaluate, y, truth, image_of)
-    status, history = admm2_solve(split, config, state, recorder)
+    if config.warm_start == "zero":
+        u0 = None
+        v = [np.zeros(penalty_shape), np.zeros(op.out_shape, dtype=op.out_dtype)]
+    else:
+        if config.warm_start == "adjoint":
+            u0 = op.adjoint(y)
+        else:
+            if y.shape != tuple(image_shape):
+                raise ValueError("observation warm start needs an image-shaped observation")
+            u0 = unknown_of(np.array(y, dtype=np.float64, copy=True))
+        v = [analysis(u0), op.forward(u0)]
+    state = SolverState(u=u0, v=v, d=[np.zeros_like(vj) for vj in v])
+
+    history = []
+    window = deque(maxlen=OBJECTIVE_WINDOW + 1)
+    t0 = time.perf_counter()
+    while True:
+        try:
+            step(state, op, ball, penalty, config.mu, analysis, synthesis)
+        except DivergenceError as err:
+            err.history = history
+            raise
+        hu0, hu1 = state.hu
+        objective = penalty.evaluate(hu0)
+        constraint = _l2(hu1 - y)
+        primal = np.sqrt(_l2(hu0 - state.v[0]) ** 2 + _l2(hu1 - state.v[1]) ** 2)
+        if not (np.isfinite(objective) and np.isfinite(constraint) and np.isfinite(primal)):
+            raise DivergenceError(f"non-finite instrumentation at iteration {state.k}",
+                                  state=state, history=history)
+        mse = float("nan")
+        if truth is not None:
+            mse = float(np.mean(np.abs(image_of(state.u) - truth) ** 2))
+        record = IterationRecord(
+            k=state.k,
+            objective=objective,
+            constraint_norm=constraint,
+            primal_residual=float(primal),
+            wall_time=time.perf_counter() - t0,
+            mse=mse,
+        )
+        if config.record_history:
+            history.append(record)
+        window.append(record)
+        status = check_stop(window, config)
+        if status != CONTINUE:
+            break
     return SolveResult(
         estimate=image_of(state.u),
         u=state.u,
         status=status,
         iterations=state.k,
         history=history,
-        last_record=state.last_record,
+        last_record=record,
         config=config,
     )

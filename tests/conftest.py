@@ -26,6 +26,18 @@ def materialize_composed(base, frame):
     return np.stack(cols, axis=1)
 
 
+def pytest_configure(config):
+    # whatever the database setting, Hypothesis caches the constants it reads
+    # from local modules in its storage directory, ./.hypothesis by default;
+    # keep that inside pytest's own cache directory
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    if hasattr(config, "cache"):
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

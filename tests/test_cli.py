@@ -97,16 +97,19 @@ def test_repeat_runs_are_byte_identical_apart_from_timing(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag,value,fragment",
-    [("--size", "0", "n must be"), ("--lines", "0", "'lines'"),
-     ("--kernel", "gaussian", "'kernel'")],
+    "experiment,flag,value,fragment",
+    [pytest.param("inpaint", "--size", "0", "'size'", id="--size-0-'size'"),
+     pytest.param("inpaint", "--lines", "0", "'lines'", id="--lines-0-'lines'"),
+     pytest.param("inpaint", "--kernel", "gaussian", "'kernel'",
+                  id="--kernel-gaussian-'kernel'"),
+     pytest.param("mri", "--size", "8", "'size'", id="mri---size-8-'size'")],
 )
-def test_out_of_range_or_inapplicable_knob_is_usage_error(tmp_path, capsys, flag,
-                                                           value, fragment):
-    code = run_cli("run", "--experiment", "inpaint", flag, value, "--out", str(tmp_path))
+def test_out_of_range_or_inapplicable_knob_is_usage_error(tmp_path, capsys, experiment,
+                                                           flag, value, fragment):
+    code = run_cli("run", "--experiment", experiment, flag, value, "--out", str(tmp_path))
     assert code == 2
     assert fragment in capsys.readouterr().err
-    assert not (tmp_path / "inpaint").exists()
+    assert not (tmp_path / experiment).exists()
 
 
 def test_overwrite_guard(tmp_path, capsys):

@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 
 from ballast import (
-    Block,
     CircularConvolution,
     DivergenceError,
     IsotropicTV,
     L1Norm,
     OrthogonalHaar,
+    PixelMask,
     SolverConfig,
     SolverState,
-    SplitSpec,
     SynthesisOperator,
-    admm2_solve,
-    admm2_step,
     check_stop,
     solve,
+    step,
 )
+import ballast.solver
+from ballast.prox import BallConstraint
 from ballast.solver import CONTINUE, CONVERGED, EXHAUSTED, IterationRecord
 from ballast.harness import deblur_instance, fourier_phantom_instance, mse
 
@@ -34,52 +34,67 @@ def scalar_problem_config(mu, **kw):
     return SolverConfig(mu=mu, **kw)
 
 
+def zero_state(op):
+    """The state ``solve`` starts from with the zero warm start, split [I; B]."""
+    v = [np.zeros(op.in_shape), np.zeros(op.out_shape)]
+    return SolverState(u=None, v=v, d=[np.zeros_like(vj) for vj in v])
+
+
+class ZeroPenalty:
+    """phi = 0: its prox is the identity."""
+
+    def prox(self, v, tau, carry=None):
+        return v
+
+
+class PoisonedL1(L1Norm):
+    """l1 whose prox returns a NaN from its ``poison_at``-th call on."""
+
+    def __init__(self, poison_at):
+        self.poison_at = poison_at
+        self.calls = 0
+
+    def prox(self, v, tau, carry=None):
+        self.calls += 1
+        out = super().prox(v, tau, carry)
+        if self.calls >= self.poison_at:
+            out = np.array(out, copy=True)
+            out.flat[0] = np.nan
+        return out
+
+
 # ---------------------------------------------------------------------------
 # single-step algebra
 # ---------------------------------------------------------------------------
 
 def test_single_identity_block_step_reproduces_input():
-    ident = lambda x: x
-    block = Block(forward=ident, adjoint=ident, prox=lambda s, mu, c: s)
-    split = SplitSpec(blocks=[block], normal_inverse=ident)
-    config = SolverConfig(mu=1.0, epsilon=0.0, max_iterations=5)
+    # both blocks identity (B is a full pixel mask, so (I + B^H B)^{-1} = I/2
+    # exactly) and phi = 0: the u-update averages the two blocks' inputs
+    op = PixelMask(np.ones((3, 3), dtype=bool))
+    ball = BallConstraint(np.zeros(9), 0.0)
 
-    state = SolverState(u=None, v=[np.zeros((3, 3))], d=[np.zeros((3, 3))],
-                        scratch=[{}])
-    admm2_step(state, split, config)
+    state = zero_state(op)
+    step(state, op, ball, ZeroPenalty(), mu=1.0)
     np.testing.assert_array_equal(state.u, np.zeros((3, 3)))
 
     r = np.arange(9.0).reshape(3, 3)
-    state = SolverState(u=None, v=[r.copy()], d=[np.zeros((3, 3))], scratch=[{}])
-    admm2_step(state, split, config)
+    state = SolverState(u=None, v=[r.copy(), r.ravel().copy()],
+                        d=[np.zeros((3, 3)), np.zeros(9)])
+    step(state, op, ball, ZeroPenalty(), mu=1.0)
     np.testing.assert_array_equal(state.u, r)
+    assert state.k == 1
 
 
 def test_dual_update_identity_recomputes_bitwise(rng):
     inst = deblur_instance("uniform", 0.56, size=16, seed=3)
-    config = SolverConfig(mu=0.7, epsilon=inst.epsilon, max_iterations=10)
     op = inst.operator
-    from ballast.prox import BallConstraint, project_ball
-
-    ball = BallConstraint(inst.observation, config.epsilon)
-    blocks = [
-        Block(forward=lambda x: x, adjoint=lambda x: x,
-              prox=lambda s, mu, c: np.sign(s) * np.maximum(np.abs(s) - 1 / mu, 0.0)),
-        Block(forward=op.forward, adjoint=op.adjoint,
-              prox=lambda s, mu, c: project_ball(s, ball)),
-    ]
-    split = SplitSpec(blocks=blocks, normal_inverse=op.shifted_normal_inverse)
-    state = SolverState(
-        u=None,
-        v=[np.zeros(op.in_shape), np.zeros(op.out_shape)],
-        d=[np.zeros(op.in_shape), np.zeros(op.out_shape)],
-        scratch=[{}, {}],
-    )
+    ball = BallConstraint(inst.observation, inst.epsilon)
+    state = zero_state(op)
     for _ in range(6):
         d_old = [dj.copy() for dj in state.d]
-        admm2_step(state, split, config)
-        for j, block in enumerate(blocks):
-            hu = block.forward(state.u)  # fresh recomputation
+        step(state, op, ball, L1Norm(), mu=0.7)
+        for j, forward in enumerate((lambda x: x, op.forward)):
+            hu = forward(state.u)  # fresh recomputation
             want = (d_old[j] - hu) + state.v[j]
             np.testing.assert_array_equal(state.d[j], want)
             # the mathematical identity d_new - d_old = v_new - H u holds to
@@ -91,70 +106,32 @@ def test_dual_update_identity_recomputes_bitwise(rng):
 
 def test_feasibility_block_stays_in_ball_every_iteration():
     inst = deblur_instance("gaussian", np.sqrt(2.0), size=16, seed=1)
-    config = SolverConfig(mu=1.0, epsilon=inst.epsilon, max_iterations=40)
-    # drive the steps manually to inspect v[1] after every iteration
-    from ballast.prox import BallConstraint, project_ball
-
     op = inst.operator
     y = inst.observation
-    ball = BallConstraint(y, config.epsilon)
-    penalty = L1Norm()
-    blocks = [
-        Block(forward=lambda x: x, adjoint=lambda x: x,
-              prox=lambda s, mu, c: penalty.prox(s, 1.0 / mu, c)),
-        Block(forward=op.forward, adjoint=op.adjoint,
-              prox=lambda s, mu, c: project_ball(s, ball)),
-    ]
-    split = SplitSpec(blocks=blocks, normal_inverse=op.shifted_normal_inverse)
-    state = SolverState(
-        u=None,
-        v=[np.zeros(op.in_shape), np.zeros(op.out_shape)],
-        d=[np.zeros(op.in_shape), np.zeros(op.out_shape)],
-        scratch=[{}, {}],
-    )
+    ball = BallConstraint(y, inst.epsilon)
+    state = zero_state(op)
     for _ in range(40):
-        admm2_step(state, split, config)
+        step(state, op, ball, L1Norm(), mu=1.0)
         assert np.linalg.norm(state.v[1] - y) <= inst.epsilon * (1 + 1e-12)
 
 
 def test_u_update_minimizes_quadratic_gradient_residual():
     inst = deblur_instance("uniform", 0.56, size=16, seed=5)
     op = inst.operator
-    config = SolverConfig(mu=1.0, epsilon=inst.epsilon, max_iterations=10)
-    from ballast.prox import BallConstraint, project_ball
-
-    ball = BallConstraint(inst.observation, config.epsilon)
-    penalty = L1Norm()
-    blocks = [
-        Block(forward=lambda x: x, adjoint=lambda x: x,
-              prox=lambda s, mu, c: penalty.prox(s, 1.0 / mu, c)),
-        Block(forward=op.forward, adjoint=op.adjoint,
-              prox=lambda s, mu, c: project_ball(s, ball)),
-    ]
-    split = SplitSpec(blocks=blocks, normal_inverse=op.shifted_normal_inverse)
-    state = SolverState(
-        u=None,
-        v=[np.zeros(op.in_shape), np.zeros(op.out_shape)],
-        d=[np.zeros(op.in_shape), np.zeros(op.out_shape)],
-        scratch=[{}, {}],
-    )
+    ball = BallConstraint(inst.observation, inst.epsilon)
+    state = zero_state(op)
     for _ in range(5):
         zeta = [v + d for v, d in zip(state.v, state.d)]
         zeta_norm = np.sqrt(sum(np.linalg.norm(np.ravel(z)) ** 2 for z in zeta))
-        admm2_step(state, split, config)
-        grad = np.zeros_like(state.u)
-        for block, z in zip(blocks, zeta):
-            grad = grad + block.adjoint(block.forward(state.u) - z)
+        step(state, op, ball, L1Norm(), mu=1.0)
+        grad = (state.u - zeta[0]) + op.adjoint(op.forward(state.u) - zeta[1])
         assert np.linalg.norm(grad) <= 1e-8 * max(zeta_norm, 1e-30)
 
 
 def test_ball_update_is_mu_invariant_v_differs_for_penalty():
     inst = deblur_instance("uniform", 0.56, size=16, seed=2)
     op = inst.operator
-    from ballast.prox import BallConstraint, project_ball
-
     ball = BallConstraint(inst.observation, inst.epsilon)
-    penalty = L1Norm()
 
     def make_state():
         rng_local = np.random.default_rng(0)
@@ -164,21 +141,12 @@ def test_ball_update_is_mu_invariant_v_differs_for_penalty():
             u=None,
             v=[v0.copy(), v1.copy()],
             d=[np.zeros(op.in_shape), np.zeros(op.out_shape)],
-            scratch=[{}, {}],
         )
 
-    blocks = [
-        Block(forward=lambda x: x, adjoint=lambda x: x,
-              prox=lambda s, mu, c: penalty.prox(s, 1.0 / mu, c)),
-        Block(forward=op.forward, adjoint=op.adjoint,
-              prox=lambda s, mu, c: project_ball(s, ball)),
-    ]
-    split = SplitSpec(blocks=blocks, normal_inverse=op.shifted_normal_inverse)
     outs = {}
     for mu in (0.1, 1.0, 10.0):
         state = make_state()
-        config = SolverConfig(mu=mu, epsilon=inst.epsilon, max_iterations=3)
-        admm2_step(state, split, config)
+        step(state, op, ball, L1Norm(), mu=mu)
         outs[mu] = (state.v[0].copy(), state.v[1].copy())
     np.testing.assert_array_equal(outs[0.1][1], outs[1.0][1])
     np.testing.assert_array_equal(outs[1.0][1], outs[10.0][1])
@@ -322,30 +290,44 @@ def test_stop_rule_works_with_history_recording_disabled():
 # ---------------------------------------------------------------------------
 
 def test_warm_start_modes_initialize_as_documented():
+    # a prox poisoned on its first call stops the solve at iteration 1, so
+    # the error carries the untouched initial state
     inst = deblur_instance("uniform", 0.56, size=16, seed=4)
     op = inst.operator
     y = inst.observation
 
-    from ballast.solver import _init_state
+    def initial_state(warm_start, op=op, **solve_kw):
+        config = SolverConfig(max_iterations=5, warm_start=warm_start)
+        with pytest.raises(DivergenceError, match=r"v\[0\] at iteration 1") as excinfo:
+            solve(op, y, PoisonedL1(poison_at=1), config, **solve_kw)
+        assert excinfo.value.history == []
+        assert excinfo.value.state.k == 0
+        return excinfo.value.state
 
-    shapes = [(op.in_shape, np.float64), (op.out_shape, op.out_dtype)]
-    forwards = [lambda x: x, op.forward]
-
-    state = _init_state(shapes, op, y, SolverConfig(warm_start="zero"), forwards)
+    state = initial_state("zero")
     assert state.u is None
-    assert all(np.all(vj == 0) for vj in state.v)
+    assert all(np.all(vj == 0) for vj in state.v + state.d)
 
-    state = _init_state(shapes, op, y, SolverConfig(warm_start="adjoint"), forwards)
+    state = initial_state("adjoint")
     np.testing.assert_array_equal(state.u, op.adjoint(y))
     np.testing.assert_array_equal(state.v[0], op.adjoint(y))
     np.testing.assert_array_equal(state.v[1], op.forward(op.adjoint(y)))
+    assert all(np.all(dj == 0) for dj in state.d)
 
-    state = _init_state(shapes, op, y, SolverConfig(warm_start="observation"),
-                        forwards, observation_start=y.copy())
+    state = initial_state("observation")
     np.testing.assert_array_equal(state.u, y)
+    np.testing.assert_array_equal(state.v[1], op.forward(y))
 
-    with pytest.raises(ValueError):
-        _init_state(shapes, op, y, SolverConfig(warm_start="observation"), forwards)
+    # synthesis: the observation start is the image's frame coefficients
+    frame = OrthogonalHaar(op.in_shape, levels=2)
+    state = initial_state("observation", op=SynthesisOperator(op, frame),
+                          formulation="synthesis", frame=frame)
+    np.testing.assert_array_equal(state.u, frame.analysis(y))
+
+    # the observation start needs an observation shaped like the image
+    mask_op = PixelMask(np.ones((4, 4), dtype=bool))
+    with pytest.raises(ValueError, match="image-shaped"):
+        solve(mask_op, np.zeros(16), L1Norm(), SolverConfig(warm_start="observation"))
 
 
 def test_config_validation():
@@ -363,29 +345,54 @@ def test_config_validation():
 
 def test_divergence_error_carries_history():
     poison_after = 3
+    op = PixelMask(np.ones((2, 2), dtype=bool))
+    config = SolverConfig(mu=1.0, epsilon=0.0, max_iterations=50,
+                          objective_rel_tol=0.0)
+    with pytest.raises(DivergenceError) as excinfo:
+        solve(op, np.ones(4), PoisonedL1(poison_at=poison_after + 1), config)
+    assert len(excinfo.value.history) == poison_after
+    assert [rec.k for rec in excinfo.value.history] == [1, 2, 3]
+
+
+def test_divergence_state_is_last_finite_iterate(monkeypatch):
+    # the ball projection, the last of the three updates, goes non-finite on
+    # its poison_at-th call; the penalty block's v[0]/d[0] of that iteration
+    # must not leak into the state the error carries
+    poison_at = 4
+    inst = deblur_instance("uniform", 0.56, size=16, seed=6)
+    op = inst.operator
+    ball = BallConstraint(inst.observation, inst.epsilon)
+    snapshot = zero_state(op)
+    for _ in range(poison_at - 1):
+        step(snapshot, op, ball, L1Norm(), mu=0.7)
+
+    real_project_ball = ballast.solver.project_ball
     calls = {"n": 0}
 
-    def poisoned_prox(s, mu, carry):
+    def poisoned(s, ball):
         calls["n"] += 1
-        if calls["n"] > poison_after:
-            out = np.array(s, copy=True)
-            out.flat[0] = np.nan
-            return out
-        return s
+        out = real_project_ball(s, ball)
+        return out * np.nan if calls["n"] == poison_at else out
 
-    ident = lambda x: x
-    block = Block(forward=ident, adjoint=ident, prox=poisoned_prox)
-    split = SplitSpec(blocks=[block], normal_inverse=ident)
-    config = SolverConfig(mu=1.0, epsilon=0.0, max_iterations=50)
-    state = SolverState(u=None, v=[np.ones(4)], d=[np.zeros(4)], scratch=[{}])
+    monkeypatch.setattr(ballast.solver, "project_ball", poisoned)
+    config = SolverConfig(mu=0.7, epsilon=inst.epsilon, max_iterations=50)
+    with pytest.raises(DivergenceError, match=rf"v\[1\] at iteration {poison_at}") as excinfo:
+        solve(op, inst.observation, L1Norm(), config)
+    state = excinfo.value.state
+    assert state.k == snapshot.k == poison_at - 1
+    assert len(excinfo.value.history) == poison_at - 1
+    np.testing.assert_array_equal(state.u, snapshot.u)
+    for j in range(2):
+        np.testing.assert_array_equal(state.v[j], snapshot.v[j])
+        np.testing.assert_array_equal(state.d[j], snapshot.d[j])
 
-    def recorder(st):
-        return IterationRecord(k=st.k, objective=0.0, constraint_norm=0.0,
-                               primal_residual=0.0, wall_time=0.0)
 
-    with pytest.raises(DivergenceError) as excinfo:
-        admm2_solve(split, config, state, recorder)
-    assert len(excinfo.value.history) == poison_after
+def test_solve_without_truth_records_nan_mse():
+    inst = deblur_instance("uniform", 0.56, size=16, seed=0)
+    config = SolverConfig(mu=1.0, epsilon=inst.epsilon, max_iterations=10)
+    res = solve(inst.operator, inst.observation, L1Norm(), config)
+    assert res.history and all(np.isnan(rec.mse) for rec in res.history)
+    assert np.isnan(res.last_record.mse)
 
 
 def test_analysis_driver_rejects_composed_operator():

@@ -21,6 +21,7 @@ import time
 import numpy as np
 
 from ballast import build_experiment, experiment_names, run_experiment
+from ballast.solver import FEASIBILITY_SLACK
 
 
 def analyze(report):
@@ -33,7 +34,7 @@ def analyze(report):
     tail = phi[10:]
     viol10 = int(np.sum(tail[1:] > tail[:-1] * (1.0 + 1e-12)))
     crossed = bool(con.max() > eps and con.min() <= eps)
-    feasible = bool(report.final_constraint_norm <= 1.01 * eps)
+    feasible = bool(report.final_constraint_norm <= (1.0 + FEASIBILITY_SLACK) * eps)
     return {
         "mu": report.config.mu,
         "tol": report.config.objective_rel_tol,
