@@ -118,21 +118,21 @@ class UndecimatedHaar:
         if x.shape != self.image_shape:
             raise ValueError(f"image has shape {x.shape}, expected {self.image_shape}")
         a = x.astype(np.promote_types(x.dtype, np.float64), copy=False)
-        details = []
+        bands = np.empty((3 * self.levels + 1,) + self.image_shape, dtype=a.dtype)
+        lo0 = np.empty_like(bands[0])
+        hi0 = np.empty_like(bands[0])
+        # the approximation goes to band 0 at every level: each level reads
+        # it only to form lo0/hi0, before overwriting it
         for level in range(self.levels):
             gap = 1 << level
-            lo0 = (a + np.roll(a, -gap, axis=0)) / 2.0
-            hi0 = (a - np.roll(a, -gap, axis=0)) / 2.0
-            ll = (lo0 + np.roll(lo0, -gap, axis=1)) / 2.0
-            lh = (lo0 - np.roll(lo0, -gap, axis=1)) / 2.0
-            hl = (hi0 + np.roll(hi0, -gap, axis=1)) / 2.0
-            hh = (hi0 - np.roll(hi0, -gap, axis=1)) / 2.0
-            details.append((lh, hl, hh))
-            a = ll
-        parts = [a.ravel()]
-        for lh, hl, hh in details:
-            parts.extend((lh.ravel(), hl.ravel(), hh.ravel()))
-        return np.concatenate(parts)
+            _half_pair(np.add, a, gap, 0, lo0)
+            _half_pair(np.subtract, a, gap, 0, hi0)
+            _half_pair(np.add, lo0, gap, 1, bands[0])
+            _half_pair(np.subtract, lo0, gap, 1, bands[1 + 3 * level])
+            _half_pair(np.add, hi0, gap, 1, bands[2 + 3 * level])
+            _half_pair(np.subtract, hi0, gap, 1, bands[3 + 3 * level])
+            a = bands[0]
+        return bands.reshape(-1)
 
     def synthesis(self, coefficients):
         coefficients = np.asarray(coefficients)
@@ -142,17 +142,37 @@ class UndecimatedHaar:
                 f"expected ({self.coefficient_length},)"
             )
         h, w = self.image_shape
-        n = h * w
         dtype = np.promote_types(coefficients.dtype, np.float64)
         bands = coefficients.astype(dtype, copy=False).reshape(3 * self.levels + 1, h, w)
+        lo0, hi0, term, image = (np.empty((h, w), dtype=dtype) for _ in range(4))
         a = bands[0]
         # adjoint of each analysis branch, accumulated from the coarsest level in
         for level in range(self.levels - 1, -1, -1):
             gap = 1 << level
-            lh = bands[1 + 3 * level]
-            hl = bands[2 + 3 * level]
-            hh = bands[3 + 3 * level]
-            lo0 = (a + np.roll(a, gap, axis=1)) / 2.0 + (lh - np.roll(lh, gap, axis=1)) / 2.0
-            hi0 = (hl + np.roll(hl, gap, axis=1)) / 2.0 + (hh - np.roll(hh, gap, axis=1)) / 2.0
-            a = (lo0 + np.roll(lo0, gap, axis=0)) / 2.0 + (hi0 - np.roll(hi0, gap, axis=0)) / 2.0
-        return a
+            _half_pair(np.add, a, -gap, 1, lo0)
+            _half_pair(np.subtract, bands[1 + 3 * level], -gap, 1, term)
+            lo0 += term
+            _half_pair(np.add, bands[2 + 3 * level], -gap, 1, hi0)
+            _half_pair(np.subtract, bands[3 + 3 * level], -gap, 1, term)
+            hi0 += term
+            _half_pair(np.add, lo0, -gap, 0, image)
+            _half_pair(np.subtract, hi0, -gap, 0, term)
+            image += term
+            a = image
+        return image
+
+
+def _half_pair(ufunc, a, shift, axis, out):
+    """``out = ufunc(a, a shifted periodically by -shift along axis) / 2``.
+
+    ``out[i] = (a[i] +/- a[(i + shift) % n]) / 2`` along ``axis``, from two
+    slice operations and no shifted copy of ``a``.  ``a`` and ``out`` must
+    not overlap.
+    """
+    if axis:
+        a, out = a.T, out.T
+    n = a.shape[0]
+    s = shift % n
+    ufunc(a[: n - s], a[s:], out=out[: n - s])
+    ufunc(a[n - s:], a[:s], out=out[n - s:])
+    out *= 0.5

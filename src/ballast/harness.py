@@ -22,7 +22,6 @@ from .operators import (
     CountingOperator,
     PartialFourier,
     PixelMask,
-    SynthesisOperator,
     add_noise,
 )
 from .prox import IsotropicTV, L1Norm
@@ -583,8 +582,6 @@ def run_experiment(setup, counting=True):
     """Solve one RunSetup and assemble the report."""
     inst = setup.instance
     op = inst.operator
-    if setup.formulation == "synthesis":
-        op = SynthesisOperator(op, setup.frame)
     counted = CountingOperator(op) if counting else op
     result = solve(counted, inst.observation, setup.penalty, setup.config, truth=inst.truth,
                    formulation=setup.formulation, frame=setup.frame)

@@ -27,6 +27,9 @@ def soft_threshold(v, tau):
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     v = np.asarray(v)
+    if not np.iscomplexobj(v):
+        # at or below tau, v - v is exactly +0.0; above it, exactly v -/+ tau
+        return v - np.clip(v, -tau, tau)
     mag = np.abs(v)
     shrunk = np.maximum(mag - tau, 0.0)
     return v * (shrunk / np.where(mag > 0, mag, 1.0))

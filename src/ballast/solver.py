@@ -11,11 +11,12 @@ Each iteration, ``step``, solves the quadratic u-update through the
 operator's closed-form shifted-normal inverse, then applies one prox and one
 dual update per block.
 
-One driver, ``solve``, covers the three formulations: it splits as
-[identity; B] and regularizes the unknown itself, which is the image
-(``"direct"``) or its frame coefficients when B is a synthesis composition
-(``"synthesis"``), or it splits as [P; B] and regularizes the analysis
-coefficients of the image (``"analysis"``).
+One driver, ``solve``, covers the three formulations on the same
+image-domain operator B: it splits as [identity; B] and regularizes the
+unknown itself, which is the image (``"direct"``) or its frame coefficients
+(``"synthesis"``, where the feasibility block is ``B W``), or it splits as
+[P; B] and regularizes the analysis coefficients of the image
+(``"analysis"``).
 """
 
 import time
@@ -88,14 +89,18 @@ class SolverConfig:
 class SolverState:
     """Mutable per-solve state; confined to a single solve call.
 
-    ``v`` and ``d`` hold the penalty block's and the feasibility block's
-    split variables and scaled duals; ``hu`` holds ``[P u, B u]`` from the
-    latest step and ``carry`` is the penalty prox's warm-start scratch.
+    ``u`` is the unknown and ``x`` the image it stands for: ``u`` itself, or
+    its frame synthesis ``W u`` in the synthesis formulation.  ``v`` and
+    ``d`` hold the penalty block's and the feasibility block's split
+    variables and scaled duals; ``hu`` holds the two blocks' images of ``u``
+    from the latest step and ``carry`` is the penalty prox's warm-start
+    scratch.
     """
 
     u: object
     v: list
     d: list
+    x: object = None
     k: int = 0
     hu: list = field(default=None, repr=False)
     carry: dict = field(default_factory=dict, repr=False)
@@ -126,33 +131,45 @@ def _l2(a):
     return float(np.linalg.norm(np.ravel(a)))
 
 
-def _identity(x):
-    return x
+def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
+    """One C-SALSA iteration of ``formulation`` on the image-domain ``op``.
 
-
-def step(state, op, ball, penalty, mu, analysis=_identity, synthesis=_identity):
-    """One C-SALSA iteration on the split ``[P; B]`` with ``P = analysis``.
-
-    The u-update applies ``op.shifted_normal_inverse``, which is
-    ``(P^H P + B^H B)^{-1}`` because ``P^H P = I``.  The penalty block's prox
-    is ``penalty.prox(., 1/mu, state.carry)`` and the feasibility block's is
-    ``project_ball(., ball)``; each dual update is written in the fixed order
-    ``(d - Hu) + v`` so that reruns recompute it bitwise.  The state is
-    updated only once ``u``, ``v[0]`` and ``v[1]`` are all finite.
+    The split is ``[I; B W]`` on the coefficients of ``frame`` for
+    ``"synthesis"`` (u-update derived in ``solve``), ``[P; B]`` with ``P =
+    frame.analysis`` for ``"analysis"`` and ``[I; B]`` for ``"direct"``;
+    every u-update makes one ``op.shifted_normal_inverse``.  The penalty
+    block's prox is ``penalty.prox(., 1/mu, state.carry)`` and the
+    feasibility block's is ``project_ball(., ball)``; each dual update is
+    written in the fixed order ``(d - Hu) + v`` so that reruns recompute it
+    bitwise.  The state is updated only once the image ``x``, ``v[0]`` and
+    ``v[1]`` are all finite.
     """
     d0, d1 = state.d
-    u = op.shifted_normal_inverse(synthesis(state.v[0] + d0) + op.adjoint(state.v[1] + d1))
-    if not np.all(np.isfinite(u)):
+    if formulation == "synthesis":
+        # u = s + W^H (x - W s) with s = v0 + d0, added in place into s
+        u = state.v[0] + d0
+        ws = frame.synthesis(u)
+        x = op.shifted_normal_inverse(ws + op.adjoint(state.v[1] + d1))
+        u += frame.analysis(x - ws)
+        hu0 = u
+    elif formulation == "analysis":
+        x = u = op.shifted_normal_inverse(
+            frame.synthesis(state.v[0] + d0) + op.adjoint(state.v[1] + d1))
+        hu0 = frame.analysis(u)
+    else:
+        x = u = op.shifted_normal_inverse((state.v[0] + d0) + op.adjoint(state.v[1] + d1))
+        hu0 = u
+    if not np.all(np.isfinite(x)):
         raise DivergenceError(f"non-finite u at iteration {state.k + 1}", state=state)
-    hu0 = analysis(u)
     v0 = penalty.prox(hu0 - d0, 1.0 / mu, state.carry)
     if not np.all(np.isfinite(v0)):
         raise DivergenceError(f"non-finite v[0] at iteration {state.k + 1}", state=state)
-    hu1 = op.forward(u)
+    hu1 = op.forward(x)
     v1 = project_ball(hu1 - d1, ball)
     if not np.all(np.isfinite(v1)):
         raise DivergenceError(f"non-finite v[1] at iteration {state.k + 1}", state=state)
     state.u = u
+    state.x = x
     state.v = [v0, v1]
     state.d = [(d0 - hu0) + v0, (d1 - hu1) + v1]
     state.hu = [hu0, hu1]
@@ -184,56 +201,63 @@ def check_stop(history, config):
 def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
     """Constrained solve with the split [H; B] for one of three formulations.
 
+    ``op`` is always the image-domain operator B; the synthesis and analysis
+    formulations check that its domain is ``frame.image_shape``.
+
     - ``"direct"``: ``H = I`` and the unknown is the image itself.
-    - ``"synthesis"``: ``H = I`` and the unknown is the coefficient vector of
-      ``frame``; ``op`` is the composition ``B W`` and the returned estimate
-      is the synthesis ``W u``.
-    - ``"analysis"``: ``H = P``, the analysis of ``frame``; ``op`` must be
-      the plain image-domain operator, and the frame must be Parseval so
-      that ``P^H P = I`` lets the u-update reuse the operator's
+    - ``"synthesis"``: ``H = I`` and the unknown ``u`` is the coefficient
+      vector of ``frame``, observed through ``B W``.  With ``s = v0 + d0`` and
+      ``x = (I + B^H B)^{-1} (W s + B^H (v1 + d1))``, the u-update is
+      ``u = s + W^H (x - W s)``: the Woodbury identity turns
+      ``(I + W^H B^H B W)^{-1}`` into B's own shifted-normal inverse when the
+      frame is Parseval (``W W^H = I``), which also makes ``W u = x``.  Each
+      iteration thus makes one synthesis and one analysis, and ``x`` is the
+      returned estimate.
+    - ``"analysis"``: ``H = P``, the analysis of ``frame``; the frame must be
+      Parseval so that ``P^H P = I`` lets the u-update reuse the operator's
       shifted-normal inverse unchanged.
 
     Warm starts (``config.warm_start``): ``"zero"`` starts every block at 0;
-    ``"adjoint"`` starts from the back-projection ``u0 = B^H y`` and
-    ``"observation"`` from the observed image itself, with ``v = [H u0,
-    B u0]`` and zero duals in both.
+    ``"adjoint"`` starts from the back-projection ``x0 = B^H y`` and
+    ``"observation"`` from the observed image itself, with ``u0`` the image
+    (or its frame coefficients in the synthesis formulation), ``v = [H u0,
+    B x0]`` and zero duals in both.
     """
     if formulation not in ("direct", "synthesis", "analysis"):
         raise ValueError(f"unknown formulation {formulation!r}")
-    if formulation != "direct" and frame is None:
-        raise ValueError(f"the {formulation} formulation needs a frame")
+    if formulation != "direct":
+        if frame is None:
+            raise ValueError(f"the {formulation} formulation needs a frame")
+        if tuple(op.in_shape) != tuple(frame.image_shape):
+            raise ValueError(
+                f"the {formulation} formulation needs an image-domain operator: "
+                f"operator domain {tuple(op.in_shape)} != frame image shape "
+                f"{tuple(frame.image_shape)}"
+            )
     y = np.asarray(y)
     ball = BallConstraint(y, config.epsilon)
-    # the penalty block (H = analysis, H^H = synthesis, shape of H u), then the
-    # maps between the unknown and the image, both ways, and the image shape
-    analysis, synthesis, penalty_shape = _identity, _identity, op.in_shape
-    image_of, unknown_of, image_shape = _identity, _identity, op.in_shape
-    if formulation == "synthesis":
-        image_of, unknown_of, image_shape = frame.synthesis, frame.analysis, frame.image_shape
-    elif formulation == "analysis":
-        if tuple(op.in_shape) != tuple(frame.image_shape):
-            raise ValueError("analysis formulation needs an image-domain operator")
-        analysis, synthesis = frame.analysis, frame.synthesis
-        penalty_shape = (frame.coefficient_length,)
     if config.warm_start == "zero":
-        u0 = None
+        x0 = u0 = None
+        penalty_shape = op.in_shape if formulation == "direct" else (frame.coefficient_length,)
         v = [np.zeros(penalty_shape), np.zeros(op.out_shape, dtype=op.out_dtype)]
     else:
         if config.warm_start == "adjoint":
-            u0 = op.adjoint(y)
+            x0 = op.adjoint(y)
         else:
-            if y.shape != tuple(image_shape):
+            if y.shape != tuple(op.in_shape):
                 raise ValueError("observation warm start needs an image-shaped observation")
-            u0 = unknown_of(np.array(y, dtype=np.float64, copy=True))
-        v = [analysis(u0), op.forward(u0)]
-    state = SolverState(u=u0, v=v, d=[np.zeros_like(vj) for vj in v])
+            x0 = np.array(y, dtype=np.float64, copy=True)
+        hx0 = x0 if formulation == "direct" else frame.analysis(x0)
+        u0 = hx0 if formulation == "synthesis" else x0
+        v = [hx0, op.forward(x0)]
+    state = SolverState(u=u0, v=v, d=[np.zeros_like(vj) for vj in v], x=x0)
 
     history = []
     window = deque(maxlen=OBJECTIVE_WINDOW + 1)
     t0 = time.perf_counter()
     while True:
         try:
-            step(state, op, ball, penalty, config.mu, analysis, synthesis)
+            step(state, op, ball, penalty, config.mu, formulation, frame)
         except DivergenceError as err:
             err.history = history
             raise
@@ -246,7 +270,7 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
                                   state=state, history=history)
         mse = float("nan")
         if truth is not None:
-            mse = float(np.mean(np.abs(image_of(state.u) - truth) ** 2))
+            mse = float(np.mean(np.abs(state.x - truth) ** 2))
         record = IterationRecord(
             k=state.k,
             objective=objective,
@@ -262,7 +286,7 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
         if status != CONTINUE:
             break
     return SolveResult(
-        estimate=image_of(state.u),
+        estimate=state.x,
         u=state.u,
         status=status,
         iterations=state.k,

@@ -4,7 +4,9 @@ The oracle tests elsewhere pin each operator and frame on a few fixed 8x8
 or 16x16 cases; these draw odd and non-square shapes from 3 to 17, random
 kernels and random non-empty masks, and check the identities the solver
 relies on: adjoints, the shifted-normal inverse ``(I + A^H A) u = r``, the
-Parseval round trip of both Haar frames, and the ball projection.
+Parseval round trip of both Haar frames, and the ball projection.  The
+undecimated Haar transforms are also pinned bit for bit to an ``np.roll``
+reference, and the real-FFT convolution to a full complex-FFT reference.
 """
 
 import numpy as np
@@ -114,6 +116,69 @@ def test_frame_round_trip_and_energy(case):
         c = random_element(rng, (frame.coefficient_length,))
         np.testing.assert_allclose(frame.analysis(frame.synthesis(c)), c, rtol=0,
                                    atol=1e-12 * norm(c))
+
+
+def roll_haar_analysis(frame, x):
+    """The undecimated Haar analysis written with ``np.roll``, as a reference."""
+    a = x.astype(np.float64)
+    details = []
+    for level in range(frame.levels):
+        gap = 1 << level
+        lo0 = (a + np.roll(a, -gap, axis=0)) / 2.0
+        hi0 = (a - np.roll(a, -gap, axis=0)) / 2.0
+        details.append(((lo0 - np.roll(lo0, -gap, axis=1)) / 2.0,
+                        (hi0 + np.roll(hi0, -gap, axis=1)) / 2.0,
+                        (hi0 - np.roll(hi0, -gap, axis=1)) / 2.0))
+        a = (lo0 + np.roll(lo0, -gap, axis=1)) / 2.0
+    return np.concatenate([a.ravel()] + [band.ravel() for bands in details for band in bands])
+
+
+def roll_haar_synthesis(frame, coefficients):
+    """The undecimated Haar synthesis written with ``np.roll``, as a reference."""
+    bands = coefficients.reshape((3 * frame.levels + 1,) + frame.image_shape)
+    a = bands[0]
+    for level in range(frame.levels - 1, -1, -1):
+        gap = 1 << level
+        lh, hl, hh = bands[1 + 3 * level:4 + 3 * level]
+        lo0 = (a + np.roll(a, gap, axis=1)) / 2.0 + (lh - np.roll(lh, gap, axis=1)) / 2.0
+        hi0 = (hl + np.roll(hl, gap, axis=1)) / 2.0 + (hh - np.roll(hh, gap, axis=1)) / 2.0
+        a = (lo0 + np.roll(lo0, gap, axis=0)) / 2.0 + (hi0 - np.roll(hi0, gap, axis=0)) / 2.0
+    return a
+
+
+@PROPERTY
+@given(sides, sides, st.integers(1, 4), seeds)
+def test_undecimated_haar_matches_roll_reference_bitwise(h, w, levels, seed):
+    # levels up to 4 on sides down to 3 include gaps of 2^level >= side
+    frame = UndecimatedHaar((h, w), levels=levels)
+    rng = np.random.default_rng(seed)
+    x = random_element(rng, (h, w))
+    c = random_element(rng, (frame.coefficient_length,))
+    np.testing.assert_array_equal(frame.analysis(x), roll_haar_analysis(frame, x))
+    np.testing.assert_array_equal(frame.synthesis(c), roll_haar_synthesis(frame, c))
+
+
+@PROPERTY
+@given(sides, sides, st.booleans(), seeds)
+def test_convolution_matches_full_fft_reference(h, w, is_complex, seed):
+    # the operator filters with the rfft2 half spectrum; the reference uses
+    # the full complex spectrum, on odd and even widths alike
+    rng = np.random.default_rng(seed)
+    op = make_operator("convolution", (h, w), rng)
+    response = np.fft.fft2(op.padded_kernel)
+    dtype = np.complex128 if is_complex else np.float64
+    x = random_element(rng, (h, w), dtype)
+
+    def reference(filter_response):
+        out = np.fft.ifft2(np.fft.fft2(x) * filter_response)
+        return out if is_complex else out.real
+
+    mag2 = np.abs(response) ** 2
+    for got, want in [(op.forward(x), reference(response)),
+                      (op.adjoint(x), reference(np.conj(response))),
+                      (op.shifted_normal_inverse(x), reference(1.0 / (1.0 + mag2)))]:
+        assert np.iscomplexobj(got) == is_complex
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * norm(x))
 
 
 @PROPERTY

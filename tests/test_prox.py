@@ -111,6 +111,22 @@ def test_l1_prox_optimality_against_perturbations(rng):
         assert base <= val + 1e-15
 
 
+def test_soft_threshold_real_and_complex_paths_exact(rng):
+    tau = 0.7
+    v = np.concatenate([rng.uniform(-3.0, 3.0, 200), [tau, -tau, 0.0, -0.0]])
+    out = soft_threshold(v, tau)
+    inside = np.abs(v) <= tau
+    # at or below the threshold: exactly +0.0, never -0.0
+    assert np.all(out[inside] == 0.0) and not np.any(np.signbit(out[inside]))
+    # above it: exactly v - tau * sign(v)
+    np.testing.assert_array_equal(out[~inside], v[~inside] - tau * np.sign(v[~inside]))
+    # complex entries shrink in magnitude with their phase kept, as before
+    z = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    mag = np.abs(z)
+    want = z * (np.maximum(mag - tau, 0.0) / np.where(mag > 0, mag, 1.0))
+    np.testing.assert_array_equal(soft_threshold(z, tau), want)
+
+
 def test_soft_threshold_nonexpansive(rng):
     for _ in range(50):
         a = rng.standard_normal(16)

@@ -13,6 +13,7 @@ from ballast import (
     SolverConfig,
     SolverState,
     SynthesisOperator,
+    UndecimatedHaar,
     check_stop,
     solve,
     step,
@@ -20,7 +21,12 @@ from ballast import (
 import ballast.solver
 from ballast.prox import BallConstraint
 from ballast.solver import CONTINUE, CONVERGED, EXHAUSTED, IterationRecord
-from ballast.harness import deblur_instance, fourier_phantom_instance, mse
+from ballast.harness import (
+    deblur_instance,
+    fourier_phantom_instance,
+    inpainting_instance,
+    mse,
+)
 
 
 def identity_op(shape):
@@ -34,9 +40,14 @@ def scalar_problem_config(mu, **kw):
     return SolverConfig(mu=mu, **kw)
 
 
-def zero_state(op):
-    """The state ``solve`` starts from with the zero warm start, split [I; B]."""
-    v = [np.zeros(op.in_shape), np.zeros(op.out_shape)]
+def zero_state(op, penalty_shape=None):
+    """The state ``solve`` starts from with the zero warm start.
+
+    The penalty block has ``penalty_shape``: the image shape by default, the
+    coefficient shape for the synthesis and analysis formulations.
+    """
+    v = [np.zeros(op.in_shape if penalty_shape is None else penalty_shape),
+         np.zeros(op.out_shape, dtype=op.out_dtype)]
     return SolverState(u=None, v=v, d=[np.zeros_like(vj) for vj in v])
 
 
@@ -208,7 +219,7 @@ def test_orthogonal_frame_formulations_agree():
     config = SolverConfig(mu=2.0, epsilon=inst.epsilon, max_iterations=500,
                           objective_rel_tol=1e-6, warm_start="adjoint")
     r_syn = solve(
-        SynthesisOperator(inst.operator, frame), inst.observation, L1Norm(),
+        inst.operator, inst.observation, L1Norm(),
         config, truth=inst.truth, formulation="synthesis", frame=frame,
     )
     r_ana = solve(
@@ -218,6 +229,57 @@ def test_orthogonal_frame_formulations_agree():
     m_syn = mse(r_syn.estimate, inst.truth)
     m_ana = mse(r_ana.estimate, inst.truth)
     assert abs(m_syn - m_ana) / m_syn <= 0.05
+
+
+def _synthesis_instance(kind):
+    if kind == "convolution":
+        inst = deblur_instance("uniform", 0.56, size=32, seed=0)
+    elif kind == "mask":
+        inst = inpainting_instance(size=32, seed=0)
+    else:
+        inst = fourier_phantom_instance(size=32, lines=10, seed=0)
+    return inst.operator, inst.observation, inst.epsilon
+
+
+def _relative_gap(a, b):
+    return np.linalg.norm(np.ravel(a - b)) / max(np.linalg.norm(np.ravel(b)), 1e-300)
+
+
+@pytest.mark.parametrize("kind", ["convolution", "mask", "fourier"])
+def test_synthesis_step_matches_composed_operator_arithmetic(kind, monkeypatch):
+    # the image-domain synthesis step (one synthesis, one analysis) against
+    # the direct step on the composed operator B W (three syntheses, two
+    # analyses): the same iteration, up to rounding
+    op, y, epsilon = _synthesis_instance(kind)
+    frame = UndecimatedHaar(op.in_shape, levels=2)
+    mu, iterations = 1.0, 30
+
+    composed = SynthesisOperator(op, frame)
+    u0 = composed.adjoint(y)
+    old = SolverState(u=u0, v=[u0, composed.forward(u0)],
+                      d=[np.zeros_like(u0), np.zeros(op.out_shape, dtype=op.out_dtype)])
+    ball = BallConstraint(y, epsilon)
+    for _ in range(iterations):
+        step(old, composed, ball, L1Norm(), mu)
+
+    states = []
+    real_step = ballast.solver.step
+
+    def recording_step(state, *args):
+        states.append(state)
+        return real_step(state, *args)
+
+    monkeypatch.setattr(ballast.solver, "step", recording_step)
+    config = SolverConfig(mu=mu, epsilon=epsilon, max_iterations=iterations,
+                          objective_rel_tol=0.0, warm_start="adjoint")
+    result = solve(op, y, L1Norm(), config, formulation="synthesis", frame=frame)
+    new = states[-1]
+    assert result.iterations == new.k == old.k == iterations
+    assert _relative_gap(result.u, old.u) <= 1e-9
+    for j in range(2):
+        assert _relative_gap(new.v[j], old.v[j]) <= 1e-9
+        assert _relative_gap(new.d[j], old.d[j]) <= 1e-9
+    assert _relative_gap(frame.synthesis(result.u), result.estimate) <= 1e-9
 
 
 def test_primal_residual_falls_three_orders():
@@ -320,8 +382,7 @@ def test_warm_start_modes_initialize_as_documented():
 
     # synthesis: the observation start is the image's frame coefficients
     frame = OrthogonalHaar(op.in_shape, levels=2)
-    state = initial_state("observation", op=SynthesisOperator(op, frame),
-                          formulation="synthesis", frame=frame)
+    state = initial_state("observation", formulation="synthesis", frame=frame)
     np.testing.assert_array_equal(state.u, frame.analysis(y))
 
     # the observation start needs an observation shaped like the image
@@ -354,7 +415,8 @@ def test_divergence_error_carries_history():
     assert [rec.k for rec in excinfo.value.history] == [1, 2, 3]
 
 
-def test_divergence_state_is_last_finite_iterate(monkeypatch):
+@pytest.mark.parametrize("formulation", ["direct", "synthesis"])
+def test_divergence_state_is_last_finite_iterate(formulation, monkeypatch):
     # the ball projection, the last of the three updates, goes non-finite on
     # its poison_at-th call; the penalty block's v[0]/d[0] of that iteration
     # must not leak into the state the error carries
@@ -362,9 +424,13 @@ def test_divergence_state_is_last_finite_iterate(monkeypatch):
     inst = deblur_instance("uniform", 0.56, size=16, seed=6)
     op = inst.operator
     ball = BallConstraint(inst.observation, inst.epsilon)
+    frame = None
     snapshot = zero_state(op)
+    if formulation == "synthesis":
+        frame = UndecimatedHaar(op.in_shape, levels=2)
+        snapshot = zero_state(op, (frame.coefficient_length,))
     for _ in range(poison_at - 1):
-        step(snapshot, op, ball, L1Norm(), mu=0.7)
+        step(snapshot, op, ball, L1Norm(), 0.7, formulation, frame)
 
     real_project_ball = ballast.solver.project_ball
     calls = {"n": 0}
@@ -377,11 +443,12 @@ def test_divergence_state_is_last_finite_iterate(monkeypatch):
     monkeypatch.setattr(ballast.solver, "project_ball", poisoned)
     config = SolverConfig(mu=0.7, epsilon=inst.epsilon, max_iterations=50)
     with pytest.raises(DivergenceError, match=rf"v\[1\] at iteration {poison_at}") as excinfo:
-        solve(op, inst.observation, L1Norm(), config)
+        solve(op, inst.observation, L1Norm(), config, formulation=formulation, frame=frame)
     state = excinfo.value.state
     assert state.k == snapshot.k == poison_at - 1
     assert len(excinfo.value.history) == poison_at - 1
     np.testing.assert_array_equal(state.u, snapshot.u)
+    np.testing.assert_array_equal(state.x, snapshot.x)
     for j in range(2):
         np.testing.assert_array_equal(state.v[j], snapshot.v[j])
         np.testing.assert_array_equal(state.d[j], snapshot.d[j])
@@ -403,6 +470,17 @@ def test_analysis_driver_rejects_composed_operator():
         solve(composed, np.zeros((8, 8)), L1Norm(),
               SolverConfig(mu=1.0, epsilon=0.0, max_iterations=5),
               formulation="analysis", frame=frame)
+
+
+def test_synthesis_driver_rejects_composed_operator():
+    # the synthesis formulation composes B W itself; handing it B W as well
+    # would compose the frame twice
+    op = identity_op((8, 8))
+    frame = OrthogonalHaar((8, 8), levels=1)
+    with pytest.raises(ValueError, match="image-domain operator"):
+        solve(SynthesisOperator(op, frame), np.zeros((8, 8)), L1Norm(),
+              SolverConfig(mu=1.0, epsilon=0.0, max_iterations=5),
+              formulation="synthesis", frame=frame)
 
 
 def test_solve_rejects_unknown_formulation_and_missing_frame():
