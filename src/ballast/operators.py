@@ -72,7 +72,8 @@ class CircularConvolution(LinearOperator):
     The small kernel is normalized to unit sum, zero-padded to the image
     shape and circularly shifted so its center sits at the origin; under
     that registration the operator factors exactly as a frequency-domain
-    multiplication.
+    multiplication.  ``freq_response`` is the ``rfft2`` half spectrum of the
+    padded kernel, of shape ``(h, w // 2 + 1)``.
     """
 
     def __init__(self, kernel, shape):

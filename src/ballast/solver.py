@@ -147,10 +147,14 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
     d0, d1 = state.d
     if formulation == "synthesis":
         # u = s + W^H (x - W s) with s = v0 + d0, added in place into s
+        # unless a complex operator makes the correction complex while s is
+        # still real (the zero warm start)
         u = state.v[0] + d0
         ws = frame.synthesis(u)
         x = op.shifted_normal_inverse(ws + op.adjoint(state.v[1] + d1))
-        u += frame.analysis(x - ws)
+        correction = frame.analysis(x - ws)
+        u = np.add(u, correction, out=u if u.dtype == correction.dtype else None)
+        del correction  # a coefficient-sized temporary: free it before the prox
         hu0 = u
     elif formulation == "analysis":
         x = u = op.shifted_normal_inverse(

@@ -245,19 +245,24 @@ def _relative_gap(a, b):
     return np.linalg.norm(np.ravel(a - b)) / max(np.linalg.norm(np.ravel(b)), 1e-300)
 
 
+@pytest.mark.parametrize("warm_start", ["adjoint", "zero"])
 @pytest.mark.parametrize("kind", ["convolution", "mask", "fourier"])
-def test_synthesis_step_matches_composed_operator_arithmetic(kind, monkeypatch):
+def test_synthesis_step_matches_composed_operator_arithmetic(kind, warm_start, monkeypatch):
     # the image-domain synthesis step (one synthesis, one analysis) against
     # the direct step on the composed operator B W (three syntheses, two
-    # analyses): the same iteration, up to rounding
+    # analyses): the same iteration, up to rounding.  The zero start begins
+    # with real coefficients, which a complex operator turns complex.
     op, y, epsilon = _synthesis_instance(kind)
     frame = UndecimatedHaar(op.in_shape, levels=2)
     mu, iterations = 1.0, 30
 
     composed = SynthesisOperator(op, frame)
-    u0 = composed.adjoint(y)
-    old = SolverState(u=u0, v=[u0, composed.forward(u0)],
-                      d=[np.zeros_like(u0), np.zeros(op.out_shape, dtype=op.out_dtype)])
+    if warm_start == "zero":
+        old = zero_state(composed)
+    else:
+        u0 = composed.adjoint(y)
+        old = SolverState(u=u0, v=[u0, composed.forward(u0)],
+                          d=[np.zeros_like(u0), np.zeros(op.out_shape, dtype=op.out_dtype)])
     ball = BallConstraint(y, epsilon)
     for _ in range(iterations):
         step(old, composed, ball, L1Norm(), mu)
@@ -271,7 +276,7 @@ def test_synthesis_step_matches_composed_operator_arithmetic(kind, monkeypatch):
 
     monkeypatch.setattr(ballast.solver, "step", recording_step)
     config = SolverConfig(mu=mu, epsilon=epsilon, max_iterations=iterations,
-                          objective_rel_tol=0.0, warm_start="adjoint")
+                          objective_rel_tol=0.0, warm_start=warm_start)
     result = solve(op, y, L1Norm(), config, formulation="synthesis", frame=frame)
     new = states[-1]
     assert result.iterations == new.k == old.k == iterations
