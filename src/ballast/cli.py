@@ -112,18 +112,12 @@ def write_run_outputs(report, run_dir, partial=False):
     paths["truth"] = "truth.pgm"
 
     if report.estimate is not None:
-        est = report.estimate
-        if np.iscomplexobj(est):
-            est = np.abs(est)
-        est_q, _, _ = pnm.quantize_u16(est, vmin, vmax)
+        est_q, _, _ = pnm.quantize_u16(report.estimate, vmin, vmax)
         pnm.write_pgm16(os.path.join(run_dir, "reconstruction.pgm"), est_q)
         paths["reconstruction"] = "reconstruction.pgm"
 
     if inst.degraded is not None and np.shape(inst.degraded) == np.shape(inst.truth):
-        deg = inst.degraded
-        if np.iscomplexobj(deg):
-            deg = np.abs(deg)
-        deg_q, _, _ = pnm.quantize_u16(deg, vmin, vmax)
+        deg_q, _, _ = pnm.quantize_u16(inst.degraded, vmin, vmax)
         pnm.write_pgm16(os.path.join(run_dir, "degraded.pgm"), deg_q)
         paths["degraded"] = "degraded.pgm"
 

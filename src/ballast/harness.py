@@ -20,8 +20,8 @@ from .frames import UndecimatedHaar
 from .operators import (
     CircularConvolution,
     CountingOperator,
-    PartialFourier,
     PixelMask,
+    RealPartialFourier,
     add_noise,
 )
 from .prox import IsotropicTV, L1Norm
@@ -294,7 +294,7 @@ def fourier_phantom_instance(size=128, lines=22, sigma=math.sqrt(0.5e-6), seed=0
     """Head phantom sampled on radial Fourier lines with complex noise."""
     truth = shepp_logan(size)
     mask = radial_mask(size, lines)
-    op = PartialFourier(mask)
+    op = RealPartialFourier(mask)
     clean = op.forward(truth)
     y = add_noise(clean, sigma, seed, complex_noise=True)
     eps = epsilon_rule(op.m, sigma)
@@ -316,7 +316,7 @@ def fourier_squares_instance(size=128, lines=27, sigma=0.1, seed=0, count=15,
     """High-dynamic-range squares sampled on radial Fourier lines."""
     truth = random_squares(size, count=count, dynamic_range_db=dynamic_range_db, seed=seed)
     mask = radial_mask(size, lines)
-    op = PartialFourier(mask)
+    op = RealPartialFourier(mask)
     clean = op.forward(truth)
     y = add_noise(clean, sigma, seed + 1, complex_noise=True)
     eps = epsilon_rule(op.m, sigma)

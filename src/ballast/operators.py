@@ -15,6 +15,7 @@ __all__ = [
     "CircularConvolution",
     "PixelMask",
     "PartialFourier",
+    "RealPartialFourier",
     "SynthesisOperator",
     "CountingOperator",
     "add_noise",
@@ -197,6 +198,37 @@ class PartialFourier(LinearOperator):
         spectrum = np.fft.fft2(r, norm="ortho")
         spectrum[~self.mask] = 0.0
         return 0.5 * np.fft.ifft2(spectrum, norm="ortho")
+
+
+class RealPartialFourier(PartialFourier):
+    """Partial Fourier sampling of a real image: a real-linear map ``R^n -> C^m``.
+
+    ``forward`` is ``PartialFourier``'s.  Under the real inner product
+    ``Re<y, Bx>`` on ``C^m`` the adjoint is ``Re(F^H S^T r)``, so the solver's
+    image stays real.  A real image has a Hermitian spectrum, which makes
+    ``B^T B = F^H diag(W) F`` with ``W = (P + P~) / 2``: the mask ``P``
+    averaged with its point reflection ``P~[k] = P[-k]``.  ``W`` is real and
+    point-symmetric, so ``(I + B^T B)^{-1}`` is a real filter, applied with
+    the ``rfft2`` half spectrum as ``CircularConvolution`` applies its own.
+    """
+
+    def __init__(self, mask):
+        super().__init__(mask)
+        half = self.in_shape[1] // 2 + 1
+        reflected = np.roll(self.mask[::-1, ::-1], (1, 1), axis=(0, 1))[:, :half]
+        weight = 0.5 * (self.mask[:, :half] + reflected.astype(np.float64))
+        self._inverse_response = 1.0 / (1.0 + weight)
+
+    def adjoint(self, r):
+        return super().adjoint(r).real
+
+    def gram_shrink(self, r):
+        # B^T (I + B B^T)^{-1} B = I - (I + B^T B)^{-1}
+        return r - self.shifted_normal_inverse(r)
+
+    def shifted_normal_inverse(self, r):
+        _check_shape(r, self.in_shape, "input")
+        return np.fft.irfft2(np.fft.rfft2(r) * self._inverse_response, s=self.in_shape)
 
 
 class SynthesisOperator(LinearOperator):

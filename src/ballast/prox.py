@@ -146,12 +146,12 @@ class L1Norm:
 
 
 class IsotropicTV:
-    """Isotropic TV penalty with a fixed-iteration Chambolle prox.
+    """Isotropic TV penalty on a real image with a fixed-iteration Chambolle prox.
 
-    Complex images are handled by applying the penalty to real and imaginary
-    parts separately (their TVs add).  With ``warm_start`` enabled the prox
-    reuses the dual field from the previous call through the solver-owned
-    ``carry`` dict; the default is a cold zero start every call.
+    Complex input raises ``ValueError``, as ``tv_norm`` and ``tv_prox`` do.
+    With ``warm_start`` enabled the prox reuses the dual field from the
+    previous call through the solver-owned ``carry`` dict; the default is a
+    cold zero start every call.
     """
 
     kind = "tv"
@@ -164,29 +164,18 @@ class IsotropicTV:
         self.warm_start = bool(warm_start)
 
     def evaluate(self, v):
-        v = np.asarray(v)
-        if np.iscomplexobj(v):
-            return tv_norm(v.real) + tv_norm(v.imag)
         return tv_norm(v)
 
-    def _prox_real(self, v, tau, carry, key):
-        dual_init = carry.get(key) if (self.warm_start and carry is not None) else None
+    def prox(self, v, tau, carry=None):
+        warm = self.warm_start and carry is not None
         out, dual = tv_prox(
             v,
             tau,
             iterations=self.iterations,
             dual_step=self.dual_step,
-            dual_init=dual_init,
+            dual_init=carry.get("tv_dual") if warm else None,
             return_dual=True,
         )
-        if self.warm_start and carry is not None:
-            carry[key] = dual
+        if warm:
+            carry["tv_dual"] = dual
         return out
-
-    def prox(self, v, tau, carry=None):
-        v = np.asarray(v)
-        if np.iscomplexobj(v):
-            re = self._prox_real(v.real, tau, carry, "tv_dual_re")
-            im = self._prox_real(v.imag, tau, carry, "tv_dual_im")
-            return re + 1j * im
-        return self._prox_real(v, tau, carry, "tv_dual_re")

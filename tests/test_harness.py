@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ballast.frames import UndecimatedHaar
+from ballast.operators import PartialFourier, add_noise
 from ballast.harness import (
     BLUR_CLASSES,
     build_experiment,
@@ -280,6 +281,21 @@ def test_truth_is_feasible_under_epsilon_rule(seed):
     assert noise_norm > 0.7 * inst.epsilon  # the radius is not absurdly loose
 
 
+@pytest.mark.parametrize("factory, noise_seed", [(fourier_phantom_instance, 0),
+                                                  (fourier_squares_instance, 1)])
+def test_fourier_instances_keep_data_and_back_project_to_real(factory, noise_seed):
+    # the real-image operator samples the same frequencies as PartialFourier,
+    # so the observation and epsilon are those of the complex operator, and
+    # the degraded image is the real part of its back-projection
+    inst = factory(size=32, lines=8, seed=0)
+    complex_op = PartialFourier(inst.extras["mask"])
+    y = add_noise(complex_op.forward(inst.truth), inst.sigma, noise_seed, complex_noise=True)
+    np.testing.assert_array_equal(inst.observation, y)
+    assert inst.epsilon == epsilon_rule(complex_op.m, inst.sigma)
+    assert inst.degraded.dtype == np.float64
+    np.testing.assert_array_equal(inst.degraded, complex_op.adjoint(y).real)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_truth_is_feasible_for_complex_observations(seed):
     inst = fourier_phantom_instance(size=32, lines=8, seed=seed)
@@ -439,9 +455,9 @@ def test_run_experiment_report_fields():
     assert len(report.history) == report.iterations
     assert report.final_constraint_norm == report.history[-1].constraint_norm
     assert report.estimate.shape == (32, 32)
-    # Fourier-sampled data makes the unknown complex; the image content is
-    # carried by the real part and the residue stays small
-    assert np.iscomplexobj(report.estimate)
+    # the Fourier operator maps real images to complex samples, and its
+    # adjoint back to real images, so the estimate is a real image
+    assert report.estimate.dtype == np.float64
     assert np.isfinite(report.final_mse)
     assert np.isfinite(report.isnr_db)
     assert report.forward_calls > 0

@@ -5,8 +5,10 @@ or 16x16 cases; these draw odd and non-square shapes from 3 to 17, random
 kernels and random non-empty masks, and check the identities the solver
 relies on: adjoints, the shifted-normal inverse ``(I + A^H A) u = r``, the
 Parseval round trip of both Haar frames, and the ball projection.  The
-undecimated Haar transforms are also pinned bit for bit to an ``np.roll``
-reference, and the real-FFT convolution to a full complex-FFT reference.
+real-image Fourier operator's real adjoint and inverse are checked on masks
+that are not point-symmetric.  The undecimated Haar transforms are also
+pinned bit for bit to an ``np.roll`` reference, and the real-FFT convolution
+to a full complex-FFT reference.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from ballast import (
     OrthogonalHaar,
     PartialFourier,
     PixelMask,
+    RealPartialFourier,
     SynthesisOperator,
     UndecimatedHaar,
     project_ball,
@@ -99,6 +102,43 @@ def test_shifted_normal_inverse_solves_the_shifted_system(case):
     r = random_element(rng, op.in_shape)
     u = op.shifted_normal_inverse(r)
     assert np.shape(u) == tuple(op.in_shape)
+    assert norm(u + op.adjoint(op.forward(u)) - r) <= 1e-10 * norm(r)
+
+
+@st.composite
+def real_fourier_operators(draw):
+    """A real-image Fourier operator whose mask is not point-symmetric about DC."""
+    shape = (draw(sides), draw(sides))
+    rng = np.random.default_rng(draw(seeds))
+    mask = random_mask(rng, shape)
+    # sample one frequency and drop its reflection; column j is never its own
+    # reflection, since 0 < j < w / 2
+    i, j = int(rng.integers(shape[0])), int(rng.integers(1, (shape[1] + 1) // 2))
+    mask[i, j] = True
+    mask[-i % shape[0], -j % shape[1]] = False
+    return RealPartialFourier(mask), rng
+
+
+@PROPERTY
+@given(real_fourier_operators())
+def test_real_fourier_adjoint_identity(case):
+    # B maps R^n to C^m, so its adjoint is taken under Re<y, Bx>
+    op, rng = case
+    x = random_element(rng, op.in_shape)
+    y = random_element(rng, op.out_shape, np.complex128)
+    back = op.adjoint(y)
+    assert back.dtype == np.float64
+    lhs = np.vdot(y, op.forward(x)).real
+    assert abs(lhs - np.vdot(back, x)) <= 1e-10 * norm(x) * norm(y)
+
+
+@PROPERTY
+@given(real_fourier_operators())
+def test_real_fourier_inverse_solves_the_shifted_system(case):
+    op, rng = case
+    r = random_element(rng, op.in_shape)
+    u = op.shifted_normal_inverse(r)
+    assert u.dtype == np.float64 and u.shape == tuple(op.in_shape)
     assert norm(u + op.adjoint(op.forward(u)) - r) <= 1e-10 * norm(r)
 
 

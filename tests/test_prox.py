@@ -303,17 +303,20 @@ def test_tv_penalty_warm_start_uses_solver_carry(rng):
     v = rng.standard_normal((6, 6))
     carry = {}
     first = tv.prox(v, 0.5, carry)
-    assert "tv_dual_re" in carry
+    assert "tv_dual" in carry
     second = tv.prox(v, 0.5, carry)
     # second call resumes from the stored dual field: same as 16 cold steps
     np.testing.assert_allclose(second, tv_prox(v, 0.5, iterations=16), atol=1e-12)
     assert np.linalg.norm(second - first) > 0
 
 
-def test_tv_penalty_complex_splits_parts(rng):
-    tv = IsotropicTV(iterations=6)
-    re = rng.standard_normal((5, 5))
-    im = rng.standard_normal((5, 5))
-    out = tv.prox(re + 1j * im, 0.5, {})
-    np.testing.assert_allclose(out.real, tv_prox(re, 0.5, iterations=6), atol=1e-14)
-    np.testing.assert_allclose(out.imag, tv_prox(im, 0.5, iterations=6), atol=1e-14)
+def test_tv_penalty_rejects_complex_input(rng):
+    # the penalty acts on real images only, like tv_norm and tv_prox
+    tv = IsotropicTV(iterations=6, warm_start=True)
+    v = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    carry = {}
+    with pytest.raises(ValueError, match="real image"):
+        tv.prox(v, 0.5, carry)
+    with pytest.raises(ValueError, match="real image"):
+        tv.evaluate(v)
+    assert carry == {}
