@@ -45,20 +45,6 @@ def _gradient(x):
     return gx, gy
 
 
-def _divergence(px, py):
-    # exact negative adjoint of _gradient: <_gradient(x), p> == <x, -_divergence(p)>
-    # (the last column of px / last row of py never enters, matching the zero
-    # rows _gradient produces there)
-    div = np.zeros_like(px)
-    div[:, 0] += px[:, 0]
-    div[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
-    div[:, -1] += -px[:, -2]
-    div[0, :] += py[0, :]
-    div[1:-1, :] += py[1:-1, :] - py[:-2, :]
-    div[-1, :] += -py[-2, :]
-    return div
-
-
 def tv_norm(x):
     """Isotropic total variation with replicate edge handling."""
     x = np.asarray(x)
@@ -74,34 +60,71 @@ def tv_prox(v, tau, iterations=10, dual_step=0.248, dual_init=None, return_dual=
     """Approximate prox of ``tau * TV`` by Chambolle's projection algorithm.
 
     Runs a fixed number of multiplicative dual updates from a zero dual
-    field (or ``dual_init`` for warm starts) and returns
-    ``v - tau * div(p)``.  The fixed iteration count keeps every outer solver
-    iteration identical in cost and perfectly reproducible.
+    field (or ``dual_init``, a pair of ``v``-shaped arrays, for warm starts)
+    and returns ``v - tau * div(p)``.  The fixed iteration count keeps every
+    outer solver iteration identical in cost and perfectly reproducible.
+
+    The dual field is held as one stacked ``(2, h*w)`` array; differences
+    and the divergence are shifted-slice subtractions on the flattened
+    image, written into work arrays allocated once per call.  ``px[:, -1]``
+    and ``py[-1, :]`` never enter the divergence and are held at zero, so
+    the returned dual is zero there even when ``dual_init`` is not; it is
+    exact everywhere else.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     if np.iscomplexobj(v):
         raise ValueError("tv_prox expects a real image; split complex input first")
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or min(v.shape) < 2:
         raise ValueError(f"TV needs a 2D image with both sides >= 2, got shape {v.shape}")
+    h, w = v.shape
+    n = h * w
+    p = np.zeros((2, n))
+    if dual_init is not None:
+        for part, init in zip(p, dual_init):
+            init = np.asarray(init, dtype=np.float64)
+            if init.shape != v.shape:
+                raise ValueError(f"dual_init needs arrays of shape {v.shape}, got {init.shape}")
+            part.reshape(h, w)[...] = init
+        p[0, w - 1::w] = 0.0
+        p[1, n - w:] = 0.0
     if tau == 0:
         out = v.copy()
         return (out, (np.zeros_like(v), np.zeros_like(v))) if return_dual else out
-    if dual_init is None:
-        px = np.zeros_like(v)
-        py = np.zeros_like(v)
-    else:
-        px = np.array(dual_init[0], dtype=np.float64, copy=True)
-        py = np.array(dual_init[1], dtype=np.float64, copy=True)
-    for _ in range(iterations):
-        gx, gy = _gradient(_divergence(px, py) - v / tau)
-        weight = 1.0 + dual_step * np.sqrt(gx * gx + gy * gy)
-        px = (px + dual_step * gx) / weight
-        py = (py + dual_step * gy) / weight
-    out = v - tau * _divergence(px, py)
+    vt = np.ravel(v / tau)
+    g = np.zeros((2, n))  # g[1]'s last row is never written: it stays zero
+    work = np.empty((2, n))  # g*g; work[1] also holds div, work[0] weight
+    weight, div = work
+    for k in range(iterations + 1):
+        # div = x-part + y-part; each part's first entry is p itself, and
+        # the zeros held in px[:, -1] and py[-1, :] make the flat shifts
+        # exact at the image's edges
+        div[0] = p[0, 0]
+        np.subtract(p[0, 1:], p[0, :-1], out=div[1:])
+        weight[:w] = p[1, :w]
+        np.subtract(p[1, w:], p[1, :-w], out=weight[w:])
+        np.add(div, weight, out=div)
+        if k == iterations:
+            break
+        np.subtract(div, vt, out=div)
+        np.subtract(div[1:], div[:-1], out=g[0, :-1])
+        g[0, w - 1::w] = 0.0
+        np.subtract(div[w:], div[:-w], out=g[1, :-w])
+        np.multiply(g, g, out=work)
+        np.add(weight, div, out=weight)
+        np.sqrt(weight, out=weight)
+        np.multiply(weight, dual_step, out=weight)
+        np.add(weight, 1.0, out=weight)
+        np.multiply(g, dual_step, out=g)
+        np.add(p, g, out=p)
+        np.divide(p, weight, out=p)
+    np.multiply(div, tau, out=div)
+    out = v - div.reshape(h, w)
     if return_dual:
-        return out, (px, py)
+        return out, (p[0].reshape(h, w), p[1].reshape(h, w))
     return out
 
 

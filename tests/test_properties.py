@@ -7,8 +7,9 @@ relies on: adjoints, the shifted-normal inverse ``(I + A^H A) u = r``, the
 Parseval round trip of both Haar frames, and the ball projection.  The
 real-image Fourier operator's real adjoint and inverse are checked on masks
 that are not point-symmetric.  The undecimated Haar transforms are also
-pinned bit for bit to an ``np.roll`` reference, and the real-FFT convolution
-to a full complex-FFT reference.
+pinned bit for bit to an ``np.roll`` reference, the real-FFT convolution
+to a full complex-FFT reference, and the TV prox to the straightforward 2-D
+Chambolle loop it replaced.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from ballast import (
     SynthesisOperator,
     UndecimatedHaar,
     project_ball,
+    tv_prox,
 )
 
 # derandomized and without an example database: reruns draw the same cases
@@ -234,3 +236,60 @@ def test_ball_projection_is_nonexpansive_and_idempotent(m, is_complex, radius, s
     assert norm(pa - ball.center) <= radius * (1.0 + 1e-12)
     assert norm(pa - pb) <= norm(a - b) * (1.0 + 1e-12)
     np.testing.assert_array_equal(project_ball(pa, ball), pa)
+
+
+def chambolle_gradient(x):
+    gx = np.zeros_like(x)
+    gy = np.zeros_like(x)
+    gx[:, :-1] = x[:, 1:] - x[:, :-1]
+    gy[:-1, :] = x[1:, :] - x[:-1, :]
+    return gx, gy
+
+
+def chambolle_divergence(px, py):
+    div = np.zeros_like(px)
+    div[:, 0] += px[:, 0]
+    div[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
+    div[:, -1] += -px[:, -2]
+    div[0, :] += py[0, :]
+    div[1:-1, :] += py[1:-1, :] - py[:-2, :]
+    div[-1, :] += -py[-2, :]
+    return div
+
+
+def chambolle_reference(v, tau, iterations, dual_step=0.248, dual_init=None):
+    """The 2-D Chambolle loop ``tv_prox`` used before its stacked-dual kernel."""
+    if tau == 0:
+        return v.copy(), (np.zeros_like(v), np.zeros_like(v))
+    if dual_init is None:
+        px = np.zeros_like(v)
+        py = np.zeros_like(v)
+    else:
+        px = np.array(dual_init[0], dtype=np.float64, copy=True)
+        py = np.array(dual_init[1], dtype=np.float64, copy=True)
+    for _ in range(iterations):
+        gx, gy = chambolle_gradient(chambolle_divergence(px, py) - v / tau)
+        weight = 1.0 + dual_step * np.sqrt(gx * gx + gy * gy)
+        px = (px + dual_step * gx) / weight
+        py = (py + dual_step * gy) / weight
+    return v - tau * chambolle_divergence(px, py), (px, py)
+
+
+@PROPERTY
+@given(st.integers(2, 33), st.integers(2, 33),
+       st.one_of(st.just(0.0), st.floats(1e-3, 5.0)), st.integers(0, 12), st.booleans(),
+       seeds)
+def test_tv_prox_matches_chambolle_reference_bitwise(h, w, tau, iterations, warm, seed):
+    rng = np.random.default_rng(seed)
+    v = random_element(rng, (h, w)) * rng.uniform(0.1, 10.0)
+    dual_init = None
+    if warm:  # nonzero in the last column of px and the last row of py too
+        dual_init = (random_element(rng, (h, w)), random_element(rng, (h, w)))
+        assert np.all(dual_init[0][:, -1] != 0) and np.all(dual_init[1][-1, :] != 0)
+    want, (want_x, want_y) = chambolle_reference(v, tau, iterations, dual_init=dual_init)
+    got, (got_x, got_y) = tv_prox(v, tau, iterations, dual_init=dual_init, return_dual=True)
+    assert got.tobytes() == want.tobytes()
+    # px[:, -1] and py[-1, :] never enter the divergence; tv_prox holds them at 0
+    assert got_x[:, :-1].tobytes() == want_x[:, :-1].tobytes()
+    assert got_y[:-1, :].tobytes() == want_y[:-1, :].tobytes()
+    assert not got_x[:, -1].any() and not got_y[-1, :].any()

@@ -269,6 +269,24 @@ def test_tv_prox_dual_carry_changes_start(rng):
     assert np.linalg.norm(resumed - cold) > 0
 
 
+def test_tv_prox_rejects_misshapen_dual_init(rng):
+    # a (1, w) field used to broadcast silently over the rows
+    v = rng.standard_normal((5, 6))
+    good = np.zeros((5, 6))
+    for bad in (np.zeros((1, 6)), np.zeros((6, 5)), np.zeros(30)):
+        for dual in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="dual_init"):
+                tv_prox(v, 0.3, dual_init=dual)
+
+
+def test_tv_prox_rejects_negative_iterations(rng):
+    v = rng.standard_normal((4, 4))
+    with pytest.raises(ValueError, match="iterations"):
+        tv_prox(v, 0.3, iterations=-1)
+    # zero inner steps is the identity of the dual: v - tau * div(0) == v
+    np.testing.assert_array_equal(tv_prox(v, 0.3, iterations=0), v)
+
+
 # ---------------------------------------------------------------------------
 # penalty objects
 # ---------------------------------------------------------------------------
