@@ -140,8 +140,8 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
     every u-update makes one ``op.shifted_normal_inverse``.  The penalty
     block's prox is ``penalty.prox(., 1/mu, state.carry)`` and the
     feasibility block's is ``project_ball(., ball)``; each dual update is
-    written in the fixed order ``(d - Hu) + v`` so that reruns recompute it
-    bitwise.  The state is updated only once the image ``x``, ``v[0]`` and
+    ``v - w`` with ``w = Hu - d`` the prox input, which equals ``(d - Hu) + v``
+    bit for bit, so reruns recompute it bitwise.  The state is updated only once the image ``x``, ``v[0]`` and
     ``v[1]`` are all finite.
     """
     d0, d1 = state.d
@@ -165,17 +165,21 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
         hu0 = u
     if not np.all(np.isfinite(x)):
         raise DivergenceError(f"non-finite u at iteration {state.k + 1}", state=state)
-    v0 = penalty.prox(hu0 - d0, 1.0 / mu, state.carry)
+    w0 = hu0 - d0
+    v0 = penalty.prox(w0, 1.0 / mu, state.carry)
     if not np.all(np.isfinite(v0)):
         raise DivergenceError(f"non-finite v[0] at iteration {state.k + 1}", state=state)
     hu1 = op.forward(x)
-    v1 = project_ball(hu1 - d1, ball)
+    w1 = hu1 - d1
+    v1 = project_ball(w1, ball)
     if not np.all(np.isfinite(v1)):
         raise DivergenceError(f"non-finite v[1] at iteration {state.k + 1}", state=state)
     state.u = u
     state.x = x
     state.v = [v0, v1]
-    state.d = [(d0 - hu0) + v0, (d1 - hu1) + v1]
+    # v - (Hu - d) is bitwise (d - Hu) + v: IEEE subtraction negates exactly.
+    # Allocated, not written into w1, which project_ball may return as v1.
+    state.d = [v0 - w0, v1 - w1]
     state.hu = [hu0, hu1]
     state.k += 1
     return state
