@@ -24,7 +24,7 @@ from .operators import (
     RealPartialFourier,
     add_noise,
 )
-from .prox import IsotropicTV, L1Norm
+from .prox import IsotropicTV, L1Norm, l2_norm
 from .solver import SolverConfig, solve
 
 __all__ = [
@@ -234,10 +234,10 @@ def mse(a, b):
 
 
 def relative_error(estimate, truth):
-    denom = float(np.linalg.norm(np.ravel(truth)))
+    denom = l2_norm(truth)
     if denom == 0:
         raise ValueError("truth has zero norm")
-    return float(np.linalg.norm(np.ravel(estimate - truth))) / denom
+    return l2_norm(estimate - truth) / denom
 
 
 def isnr(degraded, estimate, truth):

@@ -128,6 +128,18 @@ def tv_prox(v, tau, iterations=10, dual_step=0.248, dual_init=None, return_dual=
     return out
 
 
+def l2_norm(a):
+    """Euclidean norm by a numpy reduction that does not call BLAS.
+
+    ``np.linalg.norm`` goes through BLAS, whose summation order (and so the
+    last bits of the result) changes with the BLAS thread count.  Complex
+    input is summed over its interleaved real and imaginary parts.
+    """
+    a = np.ravel(a)
+    a = a.view(a.real.dtype) if np.iscomplexobj(a) else a.astype(np.float64, copy=False)
+    return float(np.sqrt(np.einsum("i,i->", a, a)))
+
+
 class BallConstraint:
     """Euclidean ball ``{s : ||s - center|| <= radius}`` in observation space."""
 
@@ -138,7 +150,7 @@ class BallConstraint:
         self.radius = float(radius)
 
     def contains(self, s, slack=1e-12):
-        return float(np.linalg.norm(np.ravel(s - self.center))) <= self.radius * (1.0 + slack)
+        return l2_norm(s - self.center) <= self.radius * (1.0 + slack)
 
 
 def project_ball(s, ball):
@@ -150,7 +162,7 @@ def project_ball(s, ball):
     """
     s = np.asarray(s)
     diff = s - ball.center
-    nrm = float(np.linalg.norm(np.ravel(diff)))
+    nrm = l2_norm(diff)
     if nrm <= ball.radius * (1.0 + 1e-12):
         return s
     return ball.center + diff * (ball.radius / nrm)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prox import BallConstraint, project_ball
+from .prox import BallConstraint, l2_norm, project_ball
 
 __all__ = [
     "SolverConfig",
@@ -125,10 +125,6 @@ class SolveResult:
     history: list
     last_record: IterationRecord  # final record, kept when history is off
     config: SolverConfig
-
-
-def _l2(a):
-    return float(np.linalg.norm(np.ravel(a)))
 
 
 def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
@@ -271,8 +267,8 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
             raise
         hu0, hu1 = state.hu
         objective = penalty.evaluate(hu0)
-        constraint = _l2(hu1 - y)
-        primal = np.sqrt(_l2(hu0 - state.v[0]) ** 2 + _l2(hu1 - state.v[1]) ** 2)
+        constraint = l2_norm(hu1 - y)
+        primal = np.sqrt(l2_norm(hu0 - state.v[0]) ** 2 + l2_norm(hu1 - state.v[1]) ** 2)
         if not (np.isfinite(objective) and np.isfinite(constraint) and np.isfinite(primal)):
             raise DivergenceError(f"non-finite instrumentation at iteration {state.k}",
                                   state=state, history=history)

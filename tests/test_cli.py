@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +97,25 @@ def test_repeat_runs_are_byte_identical_apart_from_timing(tmp_path):
         a = (tmp_path / "a" / "inpaint" / fname).read_bytes()
         b = (tmp_path / "b" / "inpaint" / fname).read_bytes()
         assert a == b, f"{fname} differs between identical runs"
+
+
+@pytest.mark.parametrize("experiment", ["deblur-uniform-tv", "mri"])
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, experiment):
+    # norms are numpy reductions, not BLAS calls whose summation order
+    # follows the thread count; 128^2 arrays are above OpenBLAS's
+    # single-thread cutoff, and mri's observations are complex
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "ballast.cli", "run", "--experiment",
+                               experiment, "--iterations", "5", "--out", str(tmp_path / threads)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr  # 5 iterations: exhausted, still infeasible
+    for fname in ("history.csv", "summary.json"):
+        a = (tmp_path / "1" / experiment / fname).read_bytes()
+        b = (tmp_path / "2" / experiment / fname).read_bytes()
+        assert a == b, f"{fname} differs between 1 and 2 BLAS threads"
 
 
 @pytest.mark.parametrize(
