@@ -35,24 +35,15 @@ def soft_threshold(v, tau):
     return v * (shrunk / np.where(mag > 0, mag, 1.0))
 
 
-def _gradient(x):
-    # forward differences, replicate (Neumann) edges: last row/column of
-    # differences is zero
-    gx = np.zeros_like(x)
-    gy = np.zeros_like(x)
-    gx[:, :-1] = x[:, 1:] - x[:, :-1]
-    gy[:-1, :] = x[1:, :] - x[:-1, :]
-    return gx, gy
-
-
 def tv_norm(x):
-    """Isotropic total variation with replicate edge handling."""
+    """Isotropic total variation; replicated edges zero the last differences."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
         raise ValueError("tv_norm expects a real image; split complex input first")
     if x.ndim != 2 or min(x.shape) < 2:
         raise ValueError(f"TV needs a 2D image with both sides >= 2, got shape {x.shape}")
-    gx, gy = _gradient(x)
+    gx = np.diff(x, axis=1, append=x[:, -1:])
+    gy = np.diff(x, axis=0, append=x[-1:])
     return float(np.sum(np.sqrt(gx * gx + gy * gy)))
 
 
@@ -60,16 +51,13 @@ def tv_prox(v, tau, iterations=10, dual_step=0.248, dual_init=None, return_dual=
     """Approximate prox of ``tau * TV`` by Chambolle's projection algorithm.
 
     Runs a fixed number of multiplicative dual updates from a zero dual
-    field (or ``dual_init``, a pair of ``v``-shaped arrays, for warm starts)
-    and returns ``v - tau * div(p)``.  The fixed iteration count keeps every
-    outer solver iteration identical in cost and perfectly reproducible.
-
-    The dual field is held as one stacked ``(2, h*w)`` array; differences
-    and the divergence are shifted-slice subtractions on the flattened
-    image, written into work arrays allocated once per call.  ``px[:, -1]``
-    and ``py[-1, :]`` never enter the divergence and are held at zero, so
-    the returned dual is zero there even when ``dual_init`` is not; it is
-    exact everywhere else.
+    field (or ``dual_init``, a pair of ``v``-shaped arrays) and returns
+    ``v - tau * div(p)``; the fixed count keeps every solver iteration equal
+    in cost and reproducible.  The dual is one stacked ``(2, h*w)`` array,
+    updated in place by shifted-slice differences on the flattened image.
+    ``px[:, -1]`` and ``py[-1, :]`` never enter the divergence and are held
+    at zero, so the returned dual is zero there even when ``dual_init`` is
+    not.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
@@ -84,13 +72,11 @@ def tv_prox(v, tau, iterations=10, dual_step=0.248, dual_init=None, return_dual=
     n = h * w
     p = np.zeros((2, n))
     if dual_init is not None:
-        for part, init in zip(p, dual_init):
-            init = np.asarray(init, dtype=np.float64)
-            if init.shape != v.shape:
-                raise ValueError(f"dual_init needs arrays of shape {v.shape}, got {init.shape}")
-            part.reshape(h, w)[...] = init
-        p[0, w - 1::w] = 0.0
-        p[1, n - w:] = 0.0
+        for part, init in zip(p.reshape(2, h, w), dual_init):
+            if np.shape(init) != v.shape:
+                raise ValueError(f"dual_init needs arrays of shape {v.shape}, got {np.shape(init)}")
+            part[...] = init
+        p[0, w - 1::w] = p[1, n - w:] = 0.0
     if tau == 0:
         out = v.copy()
         return (out, (np.zeros_like(v), np.zeros_like(v))) if return_dual else out
@@ -99,9 +85,7 @@ def tv_prox(v, tau, iterations=10, dual_step=0.248, dual_init=None, return_dual=
     work = np.empty((2, n))  # g*g; work[1] also holds div, work[0] weight
     weight, div = work
     for k in range(iterations + 1):
-        # div = x-part + y-part; each part's first entry is p itself, and
-        # the zeros held in px[:, -1] and py[-1, :] make the flat shifts
-        # exact at the image's edges
+        # div = x-part + y-part; zeros held at the far edges make flat shifts exact
         div[0] = p[0, 0]
         np.subtract(p[0, 1:], p[0, :-1], out=div[1:])
         weight[:w] = p[1, :w]
@@ -123,18 +107,13 @@ def tv_prox(v, tau, iterations=10, dual_step=0.248, dual_init=None, return_dual=
         np.divide(p, weight, out=p)
     np.multiply(div, tau, out=div)
     out = v - div.reshape(h, w)
-    if return_dual:
-        return out, (p[0].reshape(h, w), p[1].reshape(h, w))
-    return out
+    return (out, tuple(p.reshape(2, h, w))) if return_dual else out
 
 
 def l2_norm(a):
-    """Euclidean norm by a numpy reduction that does not call BLAS.
-
-    ``np.linalg.norm`` goes through BLAS, whose summation order (and so the
-    last bits of the result) changes with the BLAS thread count.  Complex
-    input is summed over its interleaved real and imaginary parts.
-    """
+    """Euclidean norm by an einsum reduction: unlike BLAS, whose summation
+    order follows its thread count, it gives the same bits on any setting.
+    Complex input is summed over its interleaved real and imaginary parts."""
     a = np.ravel(a)
     a = a.view(a.real.dtype) if np.iscomplexobj(a) else a.astype(np.float64, copy=False)
     return float(np.sqrt(np.einsum("i,i->", a, a)))
@@ -148,9 +127,6 @@ class BallConstraint:
             raise ValueError(f"radius must be nonnegative, got {radius}")
         self.center = np.asarray(center)
         self.radius = float(radius)
-
-    def contains(self, s, slack=1e-12):
-        return l2_norm(s - self.center) <= self.radius * (1.0 + slack)
 
 
 def project_ball(s, ball):

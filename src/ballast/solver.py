@@ -136,8 +136,9 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
     every u-update makes one ``op.shifted_normal_inverse``.  The penalty
     block's prox is ``penalty.prox(., 1/mu, state.carry)`` and the
     feasibility block's is ``project_ball(., ball)``; each dual update is
-    ``v - w`` with ``w = Hu - d`` the prox input, which equals ``(d - Hu) + v``
-    bit for bit, so reruns recompute it bitwise.  The state is updated only once the image ``x``, ``v[0]`` and
+    ``v - w``, with ``w = Hu - d`` the prox input: bit for bit the
+    ``(d - Hu) + v`` a rerun recomputes, as IEEE subtraction negates
+    exactly.  The state is updated only once the image ``x``, ``v[0]`` and
     ``v[1]`` are all finite.
     """
     d0, d1 = state.d
@@ -173,8 +174,7 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
     state.u = u
     state.x = x
     state.v = [v0, v1]
-    # v - (Hu - d) is bitwise (d - Hu) + v: IEEE subtraction negates exactly.
-    # Allocated, not written into w1, which project_ball may return as v1.
+    # fresh arrays: project_ball may return w1 itself as v1
     state.d = [v0 - w0, v1 - w1]
     state.hu = [hu0, hu1]
     state.k += 1
