@@ -72,10 +72,9 @@ def tv_prox(v, tau, iterations=10, dual_step=0.248, dual_init=None, return_dual=
     n = h * w
     p = np.zeros((2, n))
     if dual_init is not None:
-        for part, init in zip(p.reshape(2, h, w), dual_init):
-            if np.shape(init) != v.shape:
-                raise ValueError(f"dual_init needs arrays of shape {v.shape}, got {np.shape(init)}")
-            part[...] = init
+        if len(dual_init) != 2 or any(np.shape(part) != v.shape for part in dual_init):
+            raise ValueError(f"dual_init needs two arrays of shape {v.shape}")
+        p.reshape(2, h, w)[...] = dual_init
         p[0, w - 1::w] = p[1, n - w:] = 0.0
     if tau == 0:
         out = v.copy()
@@ -115,7 +114,7 @@ def l2_norm(a):
     order follows its thread count, it gives the same bits on any setting.
     Complex input is summed over its interleaved real and imaginary parts."""
     a = np.ravel(a)
-    a = a.view(a.real.dtype) if np.iscomplexobj(a) else a.astype(np.float64, copy=False)
+    a = a.view(a.real.dtype)
     return float(np.sqrt(np.einsum("i,i->", a, a)))
 
 

@@ -277,6 +277,10 @@ def test_tv_prox_rejects_misshapen_dual_init(rng):
         for dual in ((bad, good), (good, bad)):
             with pytest.raises(ValueError, match="dual_init"):
                 tv_prox(v, 0.3, dual_init=dual)
+    # one array too few or too many
+    for dual in ((good,), (good, good, good)):
+        with pytest.raises(ValueError, match="dual_init"):
+            tv_prox(v, 0.3, dual_init=dual)
 
 
 def test_tv_prox_rejects_negative_iterations(rng):
