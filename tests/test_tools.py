@@ -16,7 +16,7 @@ def load_tool(name):
 
 def test_microbench_prints_one_json_line_per_primitive(capsys):
     microbench = load_tool("microbench")
-    assert microbench.main(["--sizes", "16", "--repeat", "1", "--batch-ms", "1"]) == 0
+    assert microbench.main(["--sizes", "16", "--repeat", "1"]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     names = [line["primitive"] for line in lines]
     assert len(names) == len(set(names)) == 14  # 3 operators x 3 maps + 5

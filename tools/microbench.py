@@ -10,7 +10,7 @@ For each image side it times, on random float64 data:
   inner steps from a warm dual field, and ``project_ball`` of an
   observation-sized point from outside the ball.
 
-Each repeat times a batch of calls sized to take about ``--batch-ms``; a
+Each repeat times a batch of calls sized to take about ``BATCH_MS``; a
 primitive's time is the fastest repeat's mean per call.  One JSON line per
 primitive gives its milliseconds by side, with nproc, the numpy version and
 the git sha of the imported package's checkout.
@@ -18,7 +18,7 @@ the git sha of the imported package's checkout.
 Usage (from the repository root):
 
     PYTHONPATH=src python3 tools/microbench.py
-    PYTHONPATH=src python3 tools/microbench.py --sizes 128 --repeat 7 --only tv_prox
+    PYTHONPATH=src python3 tools/microbench.py --sizes 128 --repeat 20
 """
 
 import argparse
@@ -44,6 +44,8 @@ from ballast import (
     soft_threshold,
     tv_prox,
 )
+
+BATCH_MS = 20.0  # target duration of one timed batch
 
 
 def primitives(size, seed=0):
@@ -75,12 +77,12 @@ def primitives(size, seed=0):
     return calls
 
 
-def min_ms(fn, repeat, batch_ms):
+def min_ms(fn, repeat):
     """Fastest mean milliseconds per call over ``repeat`` timed batches."""
     t0 = time.perf_counter()
     fn()  # warm-up; also sizes the batch
     first = time.perf_counter() - t0
-    number = max(1, int(batch_ms / 1e3 / max(first, 1e-9)))
+    number = max(1, int(BATCH_MS / 1e3 / max(first, 1e-9)))
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
@@ -104,24 +106,14 @@ def main(argv=None):
     parser.add_argument("--sizes", type=int, nargs="+", default=[128, 256, 512],
                         help="image sides (default 128 256 512; at least 16)")
     parser.add_argument("--repeat", type=int, default=7, help="timed batches per primitive")
-    parser.add_argument("--batch-ms", type=float, default=20.0,
-                        help="target duration of one timed batch")
-    parser.add_argument("--only", nargs="+", help="time only these primitives")
     args = parser.parse_args(argv)
-    if args.repeat < 1 or args.batch_ms <= 0 or min(args.sizes) < 16:
-        parser.error("--repeat and --batch-ms must be positive and every size >= 16")
+    if args.repeat < 1 or min(args.sizes) < 16:
+        parser.error("--repeat must be positive and every size >= 16")
     meta = {"nproc": os.cpu_count(), "numpy": np.__version__, "git_sha": git_sha()}
     results = {}
     for size in args.sizes:
-        calls = primitives(size)
-        unknown = set(args.only or ()) - set(calls)
-        if unknown:
-            parser.error(f"unknown primitive(s): {', '.join(sorted(unknown))}")
-        for name, fn in calls.items():
-            if args.only and name not in args.only:
-                continue
-            results.setdefault(name, {})[str(size)] = round(min_ms(fn, args.repeat,
-                                                                   args.batch_ms), 4)
+        for name, fn in primitives(size).items():
+            results.setdefault(name, {})[str(size)] = round(min_ms(fn, args.repeat), 4)
     for name, by_size in results.items():
         print(json.dumps({"primitive": name, "min_ms": by_size, "repeat": args.repeat, **meta}))
     return 0
