@@ -30,7 +30,6 @@ from .harness import (
     shepp_logan,
 )
 from .operators import (
-    CapabilityError,
     CircularConvolution,
     CountingOperator,
     LinearOperator,
@@ -86,7 +85,6 @@ __all__ = [
     "relative_error",
     "run_experiment",
     "shepp_logan",
-    "CapabilityError",
     "CircularConvolution",
     "CountingOperator",
     "LinearOperator",

@@ -85,7 +85,7 @@ def _write_summary(run_dir, summary):
         fh.write("\n")
 
 
-def write_run_outputs(report, run_dir, partial=False):
+def write_run_outputs(report, run_dir):
     """Write history.csv, timing.csv, summary.json, and the image files.
 
     Wall-clock times go only into timing.csv, so every other artifact is
@@ -132,7 +132,7 @@ def write_run_outputs(report, run_dir, partial=False):
         "formulation": report.formulation,
         "penalty": report.penalty_kind,
         "status": report.status,
-        "partial": bool(partial),
+        "partial": False,
         "iterations": report.iterations,
         "epsilon": report.epsilon,
         "sigma": report.sigma,

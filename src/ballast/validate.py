@@ -1,9 +1,8 @@
 """Fast self-check suite: named operator/frame/prox properties on small inputs.
 
-Runs in a few seconds and needs no data files.  ``run_suite(dft_scale=...)``
-exists for fault injection: any value other than 1.0 corrupts the DFT
-normalization of the FFT-backed operators, which must break the Parseval and
-inverse-identity checks (and only make sense to use from tests).
+Runs in a few seconds and needs no data files.  The operators are built
+from the public classes, so a fault in any of them shows in the checks that
+rest on it.
 """
 
 import time
@@ -32,43 +31,18 @@ def _rng():
     return np.random.default_rng(20260817)
 
 
-class _Scaled:
-    """Fault injection: forward and adjoint times ``dft_scale``, the inverse kept exact."""
-
-    dft_scale = 1.0
-
-    def forward(self, x):
-        return super().forward(x) * self.dft_scale
-
-    def adjoint(self, r):
-        return super().adjoint(r) * self.dft_scale
-
-
-class _ScaledConvolution(_Scaled, CircularConvolution):
-    pass
-
-
-class _ScaledFourier(_Scaled, PartialFourier):
-    pass
-
-
-def _operators(dft_scale):
+def _operators():
     rng = _rng()
     shape = (8, 8)
-    conv = _ScaledConvolution(rng.random((3, 3)) + 0.1, shape)
-    conv.dft_scale = dft_scale
+    conv = CircularConvolution(rng.random((3, 3)) + 0.1, shape)
     mask = rng.random(shape) < 0.6
     mask.flat[0] = True
     pixel = PixelMask(mask)
     fmask = rng.random(shape) < 0.5
     fmask[0, 0] = True
-    fourier = _ScaledFourier(fmask)
-    fourier.dft_scale = dft_scale
+    fourier = PartialFourier(fmask)
     frame = UndecimatedHaar(shape, levels=2)
-    composed = SynthesisOperator(
-        _ScaledConvolution(rng.random((3, 3)) + 0.1, shape), frame
-    )
-    composed.base.dft_scale = dft_scale
+    composed = SynthesisOperator(CircularConvolution(rng.random((3, 3)) + 0.1, shape), frame)
     return {"conv": conv, "pixel": pixel, "fourier": fourier, "composed": composed}
 
 
@@ -103,10 +77,9 @@ def _check_adjoint(ops):
     assert worst <= 1e-10, f"adjoint mismatch {worst:.2e}"
 
 
-def _check_dft_parseval(ops):
+def _check_dft_parseval(_ops):
     rng = _rng()
-    full = _ScaledFourier(np.ones((8, 8), dtype=bool))
-    full.dft_scale = ops["fourier"].dft_scale
+    full = PartialFourier(np.ones((8, 8), dtype=bool))
     worst = 0.0
     for _ in range(25):
         x = rng.standard_normal((8, 8))
@@ -239,9 +212,9 @@ _CHECKS = [
 ]
 
 
-def run_suite(dft_scale=1.0, verbose=False):
+def run_suite():
     """Run every named check; returns (all_passed, [CheckResult], elapsed_s)."""
-    ops = _operators(dft_scale)
+    ops = _operators()
     results = []
     t0 = time.perf_counter()
     for name, fn in _CHECKS:
@@ -250,7 +223,5 @@ def run_suite(dft_scale=1.0, verbose=False):
             results.append(CheckResult(name, True))
         except AssertionError as exc:
             results.append(CheckResult(name, False, str(exc)))
-        if verbose:
-            print(results[-1])
     elapsed = time.perf_counter() - t0
     return all(r.passed for r in results), results, elapsed

@@ -135,9 +135,11 @@ def test_real_fourier_adjoint_identity(case):
 
 
 @PROPERTY
-@given(real_fourier_operators())
-def test_real_fourier_inverse_solves_the_shifted_system(case):
+@given(real_fourier_operators(), st.integers(0, 3))
+def test_real_fourier_inverse_solves_the_shifted_system(case, levels):
     op, rng = case
+    if levels:
+        op = SynthesisOperator(op, UndecimatedHaar(op.in_shape, levels=levels))
     r = random_element(rng, op.in_shape)
     u = op.shifted_normal_inverse(r)
     assert u.dtype == np.float64 and u.shape == tuple(op.in_shape)

@@ -26,3 +26,11 @@ def test_microbench_prints_one_json_line_per_primitive(capsys):
         assert set(line["min_ms"]) == {"16"} and line["min_ms"]["16"] > 0
         assert line["repeat"] == 1 and line["nproc"] >= 1
         assert line["numpy"] and line["git_sha"]
+
+
+def test_tune_mu_runs_one_experiment():
+    tune_mu = load_tool("tune_mu")
+    info = tune_mu.run_one("deblur-uniform-tv", size=16, iterations=5)
+    assert info["iters"] <= info["budget"] == 5
+    line = tune_mu.fmt("deblur-uniform-tv", info)
+    assert line.startswith("deblur-uniform-tv ") and line.endswith(("OK", "--"))
