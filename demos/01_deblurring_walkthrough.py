@@ -13,7 +13,7 @@ from ballast.harness import deblur_instance, isnr, mse
 # --- build the degraded observation ---------------------------------------
 # The instance bundles the ground truth, the convolution operator, the noisy
 # observation, and the ball radius epsilon derived from the noise level.
-inst = deblur_instance("uniform", noise_sigma=0.56, size=64, seed=0)
+inst = deblur_instance("uniform", sigma=0.56, size=64, seed=0)
 print(f"truth range        [{inst.truth.min():.1f}, {inst.truth.max():.1f}]")
 print(f"noise sigma        {inst.sigma}")
 print(f"ball radius eps    {inst.epsilon:.2f}")

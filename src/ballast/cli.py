@@ -57,6 +57,9 @@ def parse_config(path):
                 raise ConfigError(
                     f"{path}:{lineno}: cannot parse {value!r} as {caster.__name__}"
                 ) from None
+            if key == "name" and (value in ("", ".", "..") or os.path.basename(value) != value):
+                raise ConfigError(
+                    f"{path}:{lineno}: name {value!r} is not a plain directory name")
     if "experiment" not in settings:
         raise ConfigError(f"{path}: missing required key 'experiment'")
     return settings
@@ -111,15 +114,13 @@ def write_run_outputs(report, run_dir):
     pnm.write_pgm16(os.path.join(run_dir, "truth.pgm"), truth_q)
     paths["truth"] = "truth.pgm"
 
-    if report.estimate is not None:
-        est_q, _, _ = pnm.quantize_u16(report.estimate, vmin, vmax)
-        pnm.write_pgm16(os.path.join(run_dir, "reconstruction.pgm"), est_q)
-        paths["reconstruction"] = "reconstruction.pgm"
+    est_q, _, _ = pnm.quantize_u16(report.estimate, vmin, vmax)
+    pnm.write_pgm16(os.path.join(run_dir, "reconstruction.pgm"), est_q)
+    paths["reconstruction"] = "reconstruction.pgm"
 
-    if inst.degraded is not None and np.shape(inst.degraded) == np.shape(inst.truth):
-        deg_q, _, _ = pnm.quantize_u16(inst.degraded, vmin, vmax)
-        pnm.write_pgm16(os.path.join(run_dir, "degraded.pgm"), deg_q)
-        paths["degraded"] = "degraded.pgm"
+    deg_q, _, _ = pnm.quantize_u16(inst.degraded, vmin, vmax)
+    pnm.write_pgm16(os.path.join(run_dir, "degraded.pgm"), deg_q)
+    paths["degraded"] = "degraded.pgm"
 
     mask = inst.extras.get("mask")
     if mask is not None and getattr(mask, "dtype", None) == np.dtype(bool):

@@ -3,9 +3,11 @@
 Everything here is deterministic given the experiment name, size, and seed:
 test images are procedural, sampling masks are rasterized (not drawn at
 random), and noise comes from a seeded generator.  The catalog covers three
-problem families — deconvolution of a piecewise-constant scene, partial
-Fourier reconstruction of a head phantom and of a high-dynamic-range squares
-target, and inpainting with a random pixel mask.
+problem families, each with one factory that builds its procedural scene —
+deconvolution of a piecewise-constant scene, partial Fourier reconstruction
+of a head phantom and of a high-dynamic-range squares target, and inpainting
+with a random pixel mask.  There is no path for a user-supplied image, and
+every instance carries an image-shaped float64 ``degraded`` baseline.
 """
 
 import inspect
@@ -61,7 +63,7 @@ def epsilon_rule(m, sigma):
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if sigma < 0:
+    if not (sigma >= 0):
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     return float(sigma * math.sqrt(m + 8.0 * math.sqrt(m)))
 
@@ -201,29 +203,6 @@ def cartoon(n):
     return img * 255.0
 
 
-def _as_display_range(image):
-    """Bring a user-supplied grayscale image into the [0, 255] convention.
-
-    [0,1]-ranged images are scaled by 255; images already inside [0,255] pass
-    through; anything else is affinely mapped.  Keeps error magnitudes
-    comparable across sources.
-    """
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError("expected a 2D grayscale image")
-    if not np.all(np.isfinite(img)):
-        raise ValueError("image contains non-finite values")
-    lo = float(np.min(img))
-    hi = float(np.max(img))
-    if hi <= lo:
-        raise ValueError("image is constant")
-    if lo >= 0.0 and hi <= 1.0:
-        return img * 255.0
-    if lo >= 0.0 and hi <= 255.0:
-        return img.copy()
-    return (img - lo) / (hi - lo) * 255.0
-
-
 def mse(a, b):
     """Mean squared error; complex differences use squared magnitude."""
     a = np.asarray(a)
@@ -265,104 +244,85 @@ class ProblemInstance:
     sigma: float
     epsilon: float
     seed: int
-    degraded: np.ndarray = None  # image-domain baseline for comparison
+    degraded: np.ndarray  # image-shaped float64 baseline for comparison
     extras: dict = field(default_factory=dict)
 
 
-def deblur_instance(kind, noise_sigma, size=128, seed=0, image=None, variance=1.0):
-    """Blur the cartoon scene (or ``image``) and add white Gaussian noise."""
-    truth = cartoon(size) if image is None else _as_display_range(image)
-    kernel = make_blur_kernel(kind, variance=variance)
-    op = CircularConvolution(kernel, truth.shape)
-    clean = op.forward(truth)
-    y = add_noise(clean, noise_sigma, seed)
-    eps = epsilon_rule(y.size, noise_sigma)
+def deblur_instance(kernel, sigma, size=128, seed=0):
+    """Blur the cartoon scene with a ``kernel`` kind and add white Gaussian noise."""
+    truth = cartoon(size)
+    taps = make_blur_kernel(kernel)
+    op = CircularConvolution(taps, truth.shape)
+    y = add_noise(op.forward(truth), sigma, seed)
     return ProblemInstance(
-        name=f"deblur-{kind}",
+        name=f"deblur-{kernel}",
         truth=truth,
         operator=op,
         observation=y,
-        sigma=noise_sigma,
-        epsilon=eps,
+        sigma=sigma,
+        epsilon=epsilon_rule(y.size, sigma),
         seed=seed,
         degraded=y,
-        extras={"kernel": kernel},
+        extras={"kernel": taps},
+    )
+
+
+def _radial_instance(name, truth, lines, sigma, seed, noise_seed):
+    """Sample a real ``truth`` on radial Fourier lines and add complex noise."""
+    mask = radial_mask(truth.shape[0], lines)
+    op = RealPartialFourier(mask)
+    y = add_noise(op.forward(truth), sigma, noise_seed)
+    return ProblemInstance(
+        name=name,
+        truth=truth,
+        operator=op,
+        observation=y,
+        sigma=sigma,
+        epsilon=epsilon_rule(op.m, sigma),
+        seed=seed,
+        degraded=op.adjoint(y),
+        extras={"mask": mask, "lines": lines},
     )
 
 
 def fourier_phantom_instance(size=128, lines=22, sigma=math.sqrt(0.5e-6), seed=0):
     """Head phantom sampled on radial Fourier lines with complex noise."""
-    truth = shepp_logan(size)
-    mask = radial_mask(size, lines)
-    op = RealPartialFourier(mask)
-    clean = op.forward(truth)
-    y = add_noise(clean, sigma, seed, complex_noise=True)
-    eps = epsilon_rule(op.m, sigma)
-    return ProblemInstance(
-        name="fourier-phantom",
-        truth=truth,
-        operator=op,
-        observation=y,
-        sigma=sigma,
-        epsilon=eps,
-        seed=seed,
-        degraded=op.adjoint(y),
-        extras={"mask": mask, "lines": lines},
-    )
+    return _radial_instance("fourier-phantom", shepp_logan(size), lines, sigma, seed, seed)
 
 
-def fourier_squares_instance(size=128, lines=27, sigma=0.1, seed=0, count=15,
-                             dynamic_range_db=40.0):
+def fourier_squares_instance(size=128, lines=27, sigma=0.1, seed=0):
     """High-dynamic-range squares sampled on radial Fourier lines."""
-    truth = random_squares(size, count=count, dynamic_range_db=dynamic_range_db, seed=seed)
-    mask = radial_mask(size, lines)
-    op = RealPartialFourier(mask)
-    clean = op.forward(truth)
-    y = add_noise(clean, sigma, seed + 1, complex_noise=True)
-    eps = epsilon_rule(op.m, sigma)
-    return ProblemInstance(
-        name="fourier-squares",
-        truth=truth,
-        operator=op,
-        observation=y,
-        sigma=sigma,
-        epsilon=eps,
-        seed=seed,
-        degraded=op.adjoint(y),
-        extras={"mask": mask, "lines": lines},
-    )
+    return _radial_instance("fourier-squares", random_squares(size, seed=seed), lines,
+                            sigma, seed, seed + 1)
 
 
-def inpainting_instance(size=128, missing_fraction=0.4, snr_db=40.0, seed=0, image=None,
-                        sigma=None):
-    """Drop a random fraction of pixels and add white Gaussian noise.
+_MISSING_FRACTION = 0.4  # share of pixels inpainting drops
+_INPAINT_SNR_DB = 40.0  # default inpainting noise, in dB below the observed pixels' power
 
-    The noise sigma is ``sigma`` when given, else set from the requested SNR
-    relative to the observed pixels' power.
+
+def inpainting_instance(size=128, seed=0, sigma=None):
+    """Drop 40% of the pixels at random and add white Gaussian noise.
+
+    The noise sigma is ``sigma`` when given, else 40 dB below the observed
+    pixels' power.
     """
-    if not (0.0 < missing_fraction < 1.0):
-        raise ValueError(f"missing_fraction must be in (0, 1), got {missing_fraction}")
-    truth = cartoon(size) if image is None else _as_display_range(image)
-    rng = np.random.default_rng(seed)
-    observed = rng.random(truth.shape) >= missing_fraction
+    truth = cartoon(size)
+    observed = np.random.default_rng(seed).random(truth.shape) >= _MISSING_FRACTION
     op = PixelMask(observed)
     clean = op.forward(truth)
     if sigma is None:
-        sigma = math.sqrt(float(np.mean(clean**2)) * 10.0 ** (-snr_db / 10.0))
-    else:
-        sigma = float(sigma)
+        sigma = math.sqrt(float(np.mean(clean**2)) * 10.0 ** (-_INPAINT_SNR_DB / 10.0))
     y = add_noise(clean, sigma, seed + 1)
-    eps = epsilon_rule(op.m, sigma)
     return ProblemInstance(
         name="inpaint",
         truth=truth,
         operator=op,
         observation=y,
         sigma=sigma,
-        epsilon=eps,
+        epsilon=epsilon_rule(op.m, sigma),
         seed=seed,
         degraded=op.adjoint(y),
-        extras={"mask": observed, "missing_fraction": missing_fraction},
+        extras={"mask": observed},
     )
 
 
@@ -403,13 +363,13 @@ class ExperimentReport:
     instance: ProblemInstance
 
 
-# blur class -> (kernel kind, kernel variance, noise sigma)
+# blur class -> its deblur_instance arguments: kernel kind and noise sigma
 BLUR_CLASSES = {
-    "uniform": ("uniform", 1.0, 0.56),
-    "gauss-lo": ("gaussian", 1.0, math.sqrt(2.0)),
-    "gauss-hi": ("gaussian", 1.0, math.sqrt(8.0)),
-    "iq-lo": ("inverse_quadratic", 1.0, math.sqrt(2.0)),
-    "iq-hi": ("inverse_quadratic", 1.0, math.sqrt(8.0)),
+    "uniform": {"kernel": "uniform", "sigma": 0.56},
+    "gauss-lo": {"kernel": "gaussian", "sigma": math.sqrt(2.0)},
+    "gauss-hi": {"kernel": "gaussian", "sigma": math.sqrt(8.0)},
+    "iq-lo": {"kernel": "inverse_quadratic", "sigma": math.sqrt(2.0)},
+    "iq-hi": {"kernel": "inverse_quadratic", "sigma": math.sqrt(8.0)},
 }
 
 # common shorthand for the five benchmark classes
@@ -461,16 +421,6 @@ _SETTINGS = {
 }
 
 
-def _blur_class_instance(blur_class):
-    """Instance factory for one blur class; ``sigma``/``kernel`` override it."""
-    kind, variance, noise_sigma = BLUR_CLASSES[blur_class]
-
-    def instance(size=128, seed=0, sigma=noise_sigma, kernel=kind):
-        return deblur_instance(kernel, sigma, size=size, seed=seed, variance=variance)
-
-    return instance
-
-
 class _Experiment(NamedTuple):
     """One catalog entry; its solver settings are ``_SETTINGS[name]``."""
 
@@ -483,7 +433,7 @@ class _Experiment(NamedTuple):
 EXPERIMENTS = {
     **{
         f"deblur-{blur_class}-{tag}": _Experiment(
-            _blur_class_instance(blur_class), formulation,
+            partial(deblur_instance, **BLUR_CLASSES[blur_class]), formulation,
             IsotropicTV if formulation == "direct" else L1Norm, "observation",
         )
         for blur_class in BLUR_CLASSES
@@ -587,11 +537,6 @@ def run_experiment(setup, counting=True):
                    formulation=setup.formulation, frame=setup.frame)
     estimate = result.estimate
     final_mse = mse(estimate, inst.truth)
-    degraded_mse = mse(inst.degraded, inst.truth) if inst.degraded is not None else float("nan")
-    if inst.degraded is not None and np.shape(inst.degraded) == np.shape(inst.truth):
-        isnr_db = isnr(inst.degraded, estimate, inst.truth)
-    else:
-        isnr_db = float("nan")
     last = result.last_record
     return ExperimentReport(
         name=setup.name,
@@ -604,8 +549,8 @@ def run_experiment(setup, counting=True):
         final_objective=last.objective,
         final_constraint_norm=last.constraint_norm,
         final_mse=final_mse,
-        degraded_mse=degraded_mse,
-        isnr_db=isnr_db,
+        degraded_mse=mse(inst.degraded, inst.truth),
+        isnr_db=isnr(inst.degraded, estimate, inst.truth),
         relative_error=relative_error(estimate, inst.truth),
         forward_calls=counted.forward_calls if counting else -1,
         adjoint_calls=counted.adjoint_calls if counting else -1,

@@ -142,7 +142,7 @@ class PixelMask(LinearOperator):
     def shifted_normal_inverse(self, r):
         # B^H B is the mask itself, so (I + B^H B)^{-1} halves the kept pixels
         _check_shape(r, self.in_shape, "input")
-        return np.where(self.mask, r - 0.5 * r, r)
+        return np.where(self.mask, 0.5 * r, r)
 
 
 class PartialFourier(LinearOperator):
@@ -273,20 +273,20 @@ class CountingOperator(LinearOperator):
         return self.inner.shifted_normal_inverse(r)
 
 
-def add_noise(y, sigma, seed, complex_noise=False):
+def add_noise(y, sigma, seed):
     """Add i.i.d. Gaussian noise of standard deviation ``sigma`` to ``y``.
 
-    In complex mode the variance splits equally between real and imaginary
-    parts, so the total per-sample variance is still ``sigma**2``.
-    Deterministic given ``seed``.
+    The noise is complex exactly when ``y`` is; its variance then splits
+    equally between real and imaginary parts, so the total per-sample
+    variance is still ``sigma**2``.  Deterministic given ``seed``.
     """
-    if sigma < 0:
+    if not (sigma >= 0):
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     y = np.asarray(y)
     if sigma == 0:
         return y.copy()
     rng = np.random.default_rng(seed)
-    if complex_noise:
+    if np.iscomplexobj(y):
         noise = (
             rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
         ) * (sigma / np.sqrt(2.0))

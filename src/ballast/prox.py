@@ -122,7 +122,7 @@ class BallConstraint:
     """Euclidean ball ``{s : ||s - center|| <= radius}`` in observation space."""
 
     def __init__(self, center, radius):
-        if radius < 0:
+        if not (radius >= 0):
             raise ValueError(f"radius must be nonnegative, got {radius}")
         self.center = np.asarray(center)
         self.radius = float(radius)

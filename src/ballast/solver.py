@@ -77,7 +77,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.mu > 0):
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.epsilon < 0:
+        if not (self.epsilon >= 0):
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")

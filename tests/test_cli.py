@@ -124,7 +124,9 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, experiment):
      pytest.param("inpaint", "--lines", "0", "'lines'", id="--lines-0-'lines'"),
      pytest.param("inpaint", "--kernel", "gaussian", "'kernel'",
                   id="--kernel-gaussian-'kernel'"),
-     pytest.param("mri", "--size", "8", "'size'", id="mri---size-8-'size'")],
+     pytest.param("mri", "--size", "8", "'size'", id="mri---size-8-'size'"),
+     pytest.param("inpaint", "--epsilon", "nan", "epsilon", id="--epsilon-nan-epsilon"),
+     pytest.param("inpaint", "--sigma", "nan", "sigma", id="--sigma-nan-sigma")],
 )
 def test_out_of_range_or_inapplicable_knob_is_usage_error(tmp_path, capsys, experiment,
                                                            flag, value, fragment):
@@ -204,15 +206,18 @@ def test_cli_overrides_beat_config(tmp_path):
         ("experiment = inpaint\nsize = big\n", "cannot parse"),
         ("size = 32\n", "missing required key"),
         ("experiment inpaint\n", "expected 'key = value'"),
+        ("experiment = inpaint\nname = ../escaped\n", "plain directory name"),
     ],
 )
 def test_config_diagnostics_carry_location(tmp_path, capsys, body, fragment):
     cfg = tmp_path / "bad.conf"
     cfg.write_text(body)
-    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert fragment in err
     assert "bad.conf" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.conf"]  # nothing written
 
 
 def test_config_kernel_key_accepted(tmp_path):

@@ -26,7 +26,6 @@ from ballast.harness import (
     relative_error,
     run_experiment,
     shepp_logan,
-    _as_display_range,
 )
 
 
@@ -45,6 +44,8 @@ def test_epsilon_rule_validation():
         epsilon_rule(0, 1.0)
     with pytest.raises(ValueError):
         epsilon_rule(10, -0.1)
+    with pytest.raises(ValueError):
+        epsilon_rule(10, float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -174,24 +175,6 @@ def test_cartoon_scene():
         cartoon(8)
 
 
-def test_display_range_normalization():
-    unit = np.array([[0.0, 0.5], [1.0, 0.25]])
-    np.testing.assert_array_equal(_as_display_range(unit), unit * 255.0)
-    eight_bit = np.array([[0.0, 128.0], [255.0, 3.0]])
-    out = _as_display_range(eight_bit)
-    np.testing.assert_array_equal(out, eight_bit)
-    assert out is not eight_bit
-    wide = np.array([[-10.0, 0.0], [10.0, 30.0]])
-    mapped = _as_display_range(wide)
-    assert mapped.min() == 0.0 and mapped.max() == 255.0
-    with pytest.raises(ValueError):
-        _as_display_range(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        _as_display_range(np.zeros((2, 2, 3)))
-    with pytest.raises(ValueError):
-        _as_display_range(np.array([[np.nan, 1.0], [0.0, 2.0]]))
-
-
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -264,7 +247,7 @@ def test_phantom_instance_contents():
 
 
 def test_inpainting_noise_level_follows_snr_rule():
-    inst = inpainting_instance(size=64, seed=1, snr_db=40.0)
+    inst = inpainting_instance(size=64, seed=1)
     observed = inst.extras["mask"]
     clean = inst.operator.forward(inst.truth)
     expected_sigma = math.sqrt(float(np.mean(clean**2)) * 1e-4)
@@ -289,7 +272,7 @@ def test_fourier_instances_keep_data_and_back_project_to_real(factory, noise_see
     # the degraded image is the real part of its back-projection
     inst = factory(size=32, lines=8, seed=0)
     complex_op = PartialFourier(inst.extras["mask"])
-    y = add_noise(complex_op.forward(inst.truth), inst.sigma, noise_seed, complex_noise=True)
+    y = add_noise(complex_op.forward(inst.truth), inst.sigma, noise_seed)
     np.testing.assert_array_equal(inst.observation, y)
     assert inst.epsilon == epsilon_rule(complex_op.m, inst.sigma)
     assert inst.degraded.dtype == np.float64
@@ -393,6 +376,10 @@ def test_catalog_pins_every_entry():
         assert setup.instance.sigma == pytest.approx(sigma, rel=1e-12), name
         assert setup.instance.epsilon == pytest.approx(epsilon, rel=1e-12), name
         assert config.epsilon == setup.instance.epsilon, name
+        # run_experiment and write_run_outputs rely on this baseline
+        degraded = setup.instance.degraded
+        assert degraded.dtype == np.float64, name
+        assert degraded.shape == setup.instance.truth.shape, name
 
 
 def test_build_experiment_rejects_unknown_and_misfit_knobs():
@@ -436,10 +423,10 @@ def test_build_experiment_overrides():
 
 
 def test_blur_class_table():
-    assert BLUR_CLASSES["uniform"][2] == 0.56
-    assert abs(BLUR_CLASSES["gauss-lo"][2] ** 2 - 2.0) < 1e-12
-    assert abs(BLUR_CLASSES["gauss-hi"][2] ** 2 - 8.0) < 1e-12
-    assert BLUR_CLASSES["iq-lo"][0] == "inverse_quadratic"
+    assert BLUR_CLASSES["uniform"]["sigma"] == 0.56
+    assert abs(BLUR_CLASSES["gauss-lo"]["sigma"] ** 2 - 2.0) < 1e-12
+    assert abs(BLUR_CLASSES["gauss-hi"]["sigma"] ** 2 - 8.0) < 1e-12
+    assert BLUR_CLASSES["iq-lo"]["kernel"] == "inverse_quadratic"
 
 
 # ---------------------------------------------------------------------------

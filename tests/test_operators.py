@@ -314,12 +314,13 @@ def test_add_noise_zero_sigma_copies():
 def test_add_noise_real_std_within_one_percent():
     y = np.zeros(1_000_000)
     out = add_noise(y, 1.0, seed=11)
+    assert out.dtype == np.float64  # real data gets real noise
     assert abs(np.std(out) - 1.0) <= 0.01
 
 
 def test_add_noise_complex_splits_variance():
     y = np.zeros(1_000_000, dtype=complex)
-    out = add_noise(y, 1.0, seed=12, complex_noise=True)
+    out = add_noise(y, 1.0, seed=12)
     assert abs(np.var(out.real) - 0.5) <= 0.01
     assert abs(np.var(out.imag) - 0.5) <= 0.01
 
@@ -331,3 +332,5 @@ def test_add_noise_deterministic_and_validates():
     np.testing.assert_array_equal(a, b)
     with pytest.raises(ValueError):
         add_noise(y, -0.1, seed=0)
+    with pytest.raises(ValueError):
+        add_noise(y, float("nan"), seed=0)

@@ -201,6 +201,8 @@ def test_project_ball_zero_radius_returns_center(rng):
 def test_ball_constraint_validates_radius():
     with pytest.raises(ValueError):
         BallConstraint(center=np.zeros(2), radius=-1.0)
+    with pytest.raises(ValueError):
+        BallConstraint(center=np.zeros(2), radius=float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(epsilon=-0.5)
     with pytest.raises(ValueError):
+        SolverConfig(epsilon=float("nan"))
+    with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(warm_start="lukewarm")

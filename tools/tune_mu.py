@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from ballast import build_experiment, experiment_names, run_experiment
-from ballast.solver import FEASIBILITY_SLACK
+from ballast.solver import FEASIBILITY_SLACK, DivergenceError
 
 
 def analyze(report):
@@ -105,7 +105,7 @@ def main():
                 try:
                     info = run_one(name, mu=mu, tol=tol, size=args.size,
                                    iterations=args.iterations, seed=args.seed)
-                except Exception as exc:  # diverged runs are data too
+                except (DivergenceError, ValueError) as exc:  # diverged or bad knob
                     print(f"{name:24s} mu={mu} tol={tol} FAILED: {exc}")
                     continue
                 print(fmt(name, info))
