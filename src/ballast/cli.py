@@ -123,7 +123,7 @@ def write_run_outputs(report, run_dir):
     paths["degraded"] = "degraded.pgm"
 
     mask = inst.extras.get("mask")
-    if mask is not None and getattr(mask, "dtype", None) == np.dtype(bool):
+    if mask is not None:
         pnm.write_pbm(os.path.join(run_dir, "mask.pbm"), mask)
         paths["mask"] = "mask.pbm"
 

@@ -237,7 +237,6 @@ def isnr(degraded, estimate, truth):
 class ProblemInstance:
     """A ready-to-solve degradation: truth, operator, noisy observation."""
 
-    name: str
     truth: np.ndarray
     operator: object
     observation: np.ndarray
@@ -255,7 +254,6 @@ def deblur_instance(kernel, sigma, size=128, seed=0):
     op = CircularConvolution(taps, truth.shape)
     y = add_noise(op.forward(truth), sigma, seed)
     return ProblemInstance(
-        name=f"deblur-{kernel}",
         truth=truth,
         operator=op,
         observation=y,
@@ -267,13 +265,12 @@ def deblur_instance(kernel, sigma, size=128, seed=0):
     )
 
 
-def _radial_instance(name, truth, lines, sigma, seed, noise_seed):
+def _radial_instance(truth, lines, sigma, seed, noise_seed):
     """Sample a real ``truth`` on radial Fourier lines and add complex noise."""
     mask = radial_mask(truth.shape[0], lines)
     op = RealPartialFourier(mask)
     y = add_noise(op.forward(truth), sigma, noise_seed)
     return ProblemInstance(
-        name=name,
         truth=truth,
         operator=op,
         observation=y,
@@ -287,13 +284,12 @@ def _radial_instance(name, truth, lines, sigma, seed, noise_seed):
 
 def fourier_phantom_instance(size=128, lines=22, sigma=math.sqrt(0.5e-6), seed=0):
     """Head phantom sampled on radial Fourier lines with complex noise."""
-    return _radial_instance("fourier-phantom", shepp_logan(size), lines, sigma, seed, seed)
+    return _radial_instance(shepp_logan(size), lines, sigma, seed, seed)
 
 
 def fourier_squares_instance(size=128, lines=27, sigma=0.1, seed=0):
     """High-dynamic-range squares sampled on radial Fourier lines."""
-    return _radial_instance("fourier-squares", random_squares(size, seed=seed), lines,
-                            sigma, seed, seed + 1)
+    return _radial_instance(random_squares(size, seed=seed), lines, sigma, seed, seed + 1)
 
 
 _MISSING_FRACTION = 0.4  # share of pixels inpainting drops
@@ -314,7 +310,6 @@ def inpainting_instance(size=128, seed=0, sigma=None):
         sigma = math.sqrt(float(np.mean(clean**2)) * 10.0 ** (-_INPAINT_SNR_DB / 10.0))
     y = add_noise(clean, sigma, seed + 1)
     return ProblemInstance(
-        name="inpaint",
         truth=truth,
         operator=op,
         observation=y,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ballast.harness
 from ballast.frames import UndecimatedHaar
 from ballast.operators import PartialFourier, add_noise
 from ballast.harness import (
@@ -474,7 +475,15 @@ def test_operator_call_counts_scale_with_iterations():
     assert long.adjoint_calls - short.adjoint_calls == 15
 
 
-def test_run_experiment_with_history_off_reports_the_final_record():
+def test_run_experiment_with_history_off_reports_the_final_record(monkeypatch):
+    results = []
+    real_solve = ballast.harness.solve
+
+    def recording_solve(*args, **kwargs):
+        results.append(real_solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ballast.harness, "solve", recording_solve)
     setup = build_experiment("inpaint", size=32)
     setup.config.record_history = False
     report = run_experiment(setup)
@@ -483,3 +492,9 @@ def test_run_experiment_with_history_off_reports_the_final_record():
     assert report.iterations == reference.iterations
     assert report.final_objective == reference.final_objective
     assert report.final_constraint_norm == reference.final_constraint_norm
+    # history off skips the primal residual and the MSE; the stop rule
+    # reads neither
+    last, reference_last = results[0].last_record, results[1].last_record
+    assert math.isnan(last.primal_residual) and math.isnan(last.mse)
+    assert not math.isnan(reference_last.primal_residual)
+    assert not math.isnan(reference_last.mse)

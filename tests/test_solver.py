@@ -20,7 +20,7 @@ from ballast import (
     step,
 )
 import ballast.solver
-from ballast.prox import BallConstraint
+from ballast.prox import BallConstraint, l2_norm
 from ballast.solver import CONTINUE, CONVERGED, EXHAUSTED, IterationRecord
 from ballast.harness import (
     deblur_instance,
@@ -98,21 +98,31 @@ def test_single_identity_block_step_reproduces_input():
 
 
 def test_dual_update_identity_recomputes_bitwise(rng):
+    # the prox input w = (Hu - v)(alpha - 1) + Hu - d uses the split variable
+    # v and the dual d from before the step, and the dual update is v_new - w
     inst = deblur_instance("uniform", 0.56, size=16, seed=3)
     op = inst.operator
     ball = BallConstraint(inst.observation, inst.epsilon)
     state = zero_state(op)
+    alpha = ballast.solver.RELAXATION
     for _ in range(6):
+        v_old = [vj.copy() for vj in state.v]
         d_old = [dj.copy() for dj in state.d]
         step(state, op, ball, L1Norm(), mu=0.7)
         for j, forward in enumerate((lambda x: x, op.forward)):
             hu = forward(state.u)  # fresh recomputation
-            want = (d_old[j] - hu) + state.v[j]
-            np.testing.assert_array_equal(state.d[j], want)
-            # the mathematical identity d_new - d_old = v_new - H u holds to
-            # rounding even though float addition is not associative
+            np.testing.assert_array_equal(state.hu[j], hu)
+            w = hu - v_old[j]
+            w *= alpha - 1.0
+            w += hu
+            w -= d_old[j]
+            np.testing.assert_array_equal(state.d[j], state.v[j] - w)
+            # the mathematical identity d_new - d_old = v_new - H^u, with H^u
+            # the relaxed point, holds to rounding even though float addition
+            # is not associative
+            relaxed = alpha * hu + (1.0 - alpha) * v_old[j]
             np.testing.assert_allclose(
-                state.d[j] - d_old[j], state.v[j] - hu, atol=1e-12
+                state.d[j] - d_old[j], state.v[j] - relaxed, atol=1e-12
             )
 
 
@@ -304,8 +314,15 @@ def test_primal_residual_falls_three_orders():
 def test_history_records_are_finite_and_ordered():
     inst = deblur_instance("inverse_quadratic", np.sqrt(2.0), size=32, seed=0)
     config = SolverConfig(mu=1.0, epsilon=inst.epsilon, max_iterations=30)
-    res = solve(inst.operator, inst.observation,
-                IsotropicTV(iterations=5), config, truth=inst.truth)
+    penalty = IsotropicTV(iterations=5)
+    res = solve(inst.operator, inst.observation, penalty, config, truth=inst.truth)
+    # the records describe the iterate itself, not the over-relaxed point;
+    # in the direct formulation the penalty block's H u is u
+    last = res.last_record
+    assert last is res.history[-1]
+    assert last.constraint_norm == l2_norm(inst.operator.forward(res.estimate)
+                                           - inst.observation)
+    assert last.objective == penalty.evaluate(res.u)
     assert [rec.k for rec in res.history] == list(range(1, res.iterations + 1))
     for rec in res.history:
         assert np.isfinite(rec.objective)

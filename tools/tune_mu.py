@@ -6,7 +6,9 @@ feasibility, whether the constraint norm crosses epsilon from above, the
 iteration where the objective peaks, and how many objective increases remain
 after iteration 10.  The tuned values live in ballast.harness._SETTINGS (one
 (mu, budget, tol) row per catalog run); this script reproduces the evidence
-behind them.
+behind them.  Those sweeps predate the over-relaxed step
+(``ballast.solver.RELAXATION``): the table was tuned at relaxation 1, so
+rerunning a sweep now reports the relaxed solver, not the original evidence.
 
 Usage:
     python3 tools/tune_mu.py deblur-uniform-tv --mu 0.3,0.5,1.0
