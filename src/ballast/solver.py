@@ -213,17 +213,21 @@ def check_stop(history, config):
     """Feasible and objective-flat => converged; out of budget => exhausted.
 
     Convergence needs the constraint norm within ``(1 + FEASIBILITY_SLACK) *
-    epsilon`` and the relative objective change over the last
-    ``OBJECTIVE_WINDOW`` records below ``objective_rel_tol``.
+    epsilon`` and the objective's relative range over the last
+    ``OBJECTIVE_WINDOW + 1`` records below ``objective_rel_tol``.  The range
+    spans the whole window, not just its two ends: an objective swinging
+    through a turning point (the relaxed step makes ``mri``'s do) has equal
+    ends mid-swing.  On a monotone window the range is the ends' difference.
     """
     if not history:
         return CONTINUE
     rec = history[-1]
     feasible = rec.constraint_norm <= (1.0 + FEASIBILITY_SLACK) * config.epsilon
     if feasible and len(history) > OBJECTIVE_WINDOW:
-        past = history[-1 - OBJECTIVE_WINDOW].objective
-        scale = max(abs(rec.objective), abs(past), 1e-30)
-        if abs(rec.objective - past) / scale <= config.objective_rel_tol:
+        recent = [history[i].objective for i in range(-1 - OBJECTIVE_WINDOW, 0)]
+        lo, hi = min(recent), max(recent)
+        scale = max(abs(lo), abs(hi), 1e-30)
+        if (hi - lo) / scale <= config.objective_rel_tol:
             return CONVERGED
     if rec.k >= config.max_iterations:
         return EXHAUSTED

@@ -1,5 +1,7 @@
 """Solver engine tests: step algebra, analytic fixed points, invariants."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -359,6 +361,15 @@ def test_check_stop_continues_while_objective_falls():
     history = [_rec(k + 1, o, 1.0) for k, o in enumerate(objs)]
     assert check_stop(history, config) == CONTINUE
     assert check_stop([], config) == CONTINUE
+
+
+def test_check_stop_continues_through_an_objective_turning_point():
+    # the window's two ends agree while the objective swings between them
+    config = SolverConfig(mu=1.0, epsilon=2.0, max_iterations=100)
+    objs = [10.0, 10.4, 10.6, 10.6, 10.4, 10.0]
+    history = [_rec(k + 1, o, 1.0) for k, o in enumerate(objs)]
+    assert check_stop(history, config) == CONTINUE
+    assert check_stop(deque(history), config) == CONTINUE
 
 
 def test_stop_rule_works_with_history_recording_disabled():
