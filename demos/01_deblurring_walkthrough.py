@@ -32,7 +32,7 @@ config = SolverConfig(
     warm_start="observation",  # start from the blurred image itself
 )
 result = solve(
-    inst.operator, inst.observation, IsotropicTV(iterations=10), config,
+    inst.operator, inst.observation, IsotropicTV(), config,
     truth=inst.truth,
 )
 

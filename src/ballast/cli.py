@@ -73,11 +73,11 @@ def _write_history(run_dir, history):
     """Write ``history.csv`` (one row per iteration record) into ``run_dir``."""
     with open(os.path.join(run_dir, "history.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
-        fh.write("k,objective,constraint_norm,primal_residual,mse\n")
+        fh.write("k,objective,constraint_norm,primal_residual,mse,relative_change\n")
         for rec in history:
             fh.write(
                 f"{rec.k},{_fmt(rec.objective)},{_fmt(rec.constraint_norm)},"
-                f"{_fmt(rec.primal_residual)},{_fmt(rec.mse)}\n"
+                f"{_fmt(rec.primal_residual)},{_fmt(rec.mse)},{_fmt(rec.relative_change)}\n"
             )
 
 
@@ -143,6 +143,7 @@ def write_run_outputs(report, run_dir):
         "final": {
             "objective": report.final_objective,
             "constraint_norm": report.final_constraint_norm,
+            "relative_change": report.final_relative_change,
             "mse": report.final_mse,
             "degraded_mse": report.degraded_mse,
             "isnr_db": report.isnr_db,

@@ -47,17 +47,19 @@ def tv_norm(x):
     return float(np.sum(np.sqrt(gx * gx + gy * gy)))
 
 
-def tv_prox(v, tau, iterations=10, dual_step=0.248, dual_init=None, return_dual=False):
+def tv_prox(v, tau, iterations=10, dual_step=0.125, dual=None):
     """Approximate prox of ``tau * TV`` by Chambolle's projection algorithm.
 
-    Runs a fixed number of multiplicative dual updates from a zero dual
-    field (or ``dual_init``, a pair of ``v``-shaped arrays) and returns
+    Runs a fixed number of multiplicative dual updates and returns
     ``v - tau * div(p)``; the fixed count keeps every solver iteration equal
-    in cost and reproducible.  The dual is one stacked ``(2, h*w)`` array,
-    updated in place by shifted-slice differences on the flattened image.
-    ``px[:, -1]`` and ``py[-1, :]`` never enter the divergence and are held
-    at zero, so the returned dual is zero there even when ``dual_init`` is
-    not.
+    in cost and reproducible.  The default step, 1/8, is the bound under
+    which Chambolle (2004) proves the projection converges.  The dual is one
+    stacked ``(2, h*w)`` array, updated in place by shifted-slice
+    differences on the flattened image: a zero field allocated per call, or
+    ``dual``, a float64 array of that shape that the call starts from and
+    leaves holding the final field.  ``px[:, -1]`` and ``py[-1, :]`` never
+    enter the divergence and are held at zero, so those entries of ``dual``
+    are zeroed; at ``tau == 0`` the prox is the identity and all of it is.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
@@ -70,15 +72,16 @@ def tv_prox(v, tau, iterations=10, dual_step=0.248, dual_init=None, return_dual=
         raise ValueError(f"TV needs a 2D image with both sides >= 2, got shape {v.shape}")
     h, w = v.shape
     n = h * w
-    p = np.zeros((2, n))
-    if dual_init is not None:
-        if len(dual_init) != 2 or any(np.shape(part) != v.shape for part in dual_init):
-            raise ValueError(f"dual_init needs two arrays of shape {v.shape}")
-        p.reshape(2, h, w)[...] = dual_init
+    if dual is None:
+        p = np.zeros((2, n))
+    elif np.shape(dual) != (2, n) or getattr(dual, "dtype", None) != np.float64:
+        raise ValueError(f"dual needs a float64 array of shape (2, {n})")
+    else:
+        p = dual
         p[0, w - 1::w] = p[1, n - w:] = 0.0
     if tau == 0:
-        out = v.copy()
-        return (out, (np.zeros_like(v), np.zeros_like(v))) if return_dual else out
+        p[...] = 0.0
+        return v.copy()
     vt = np.ravel(v / tau)
     g = np.zeros((2, n))  # g[1]'s last row is never written: it stays zero
     work = np.empty((2, n))  # g*g; work[1] also holds div, work[0] weight
@@ -105,8 +108,7 @@ def tv_prox(v, tau, iterations=10, dual_step=0.248, dual_init=None, return_dual=
         np.add(p, g, out=p)
         np.divide(p, weight, out=p)
     np.multiply(div, tau, out=div)
-    out = v - div.reshape(h, w)
-    return (out, tuple(p.reshape(2, h, w))) if return_dual else out
+    return v - div.reshape(h, w)
 
 
 def l2_norm(a):
@@ -159,33 +161,27 @@ class IsotropicTV:
     """Isotropic TV penalty on a real image with a fixed-iteration Chambolle prox.
 
     Complex input raises ``ValueError``, as ``tv_norm`` and ``tv_prox`` do.
-    With ``warm_start`` enabled the prox reuses the dual field from the
-    previous call through the solver-owned ``carry`` dict; the default is a
-    cold zero start every call.
+    The prox warm-starts Chambolle's dual from the previous call: the field
+    lives in the solver-owned per-solve ``carry`` dict, never on the penalty,
+    and each call updates it in place.  Warm, a few inner steps per outer
+    iteration suffice; without a ``carry`` every call starts cold.
     """
 
     kind = "tv"
 
-    def __init__(self, iterations=10, dual_step=0.248, warm_start=False):
+    def __init__(self, iterations=3):
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         self.iterations = iterations
-        self.dual_step = float(dual_step)
-        self.warm_start = bool(warm_start)
 
     def evaluate(self, v):
         return tv_norm(v)
 
     def prox(self, v, tau, carry=None):
-        warm = self.warm_start and carry is not None
-        out, dual = tv_prox(
-            v,
-            tau,
-            iterations=self.iterations,
-            dual_step=self.dual_step,
-            dual_init=carry.get("tv_dual") if warm else None,
-            return_dual=True,
-        )
-        if warm:
-            carry["tv_dual"] = dual
+        carry = {} if carry is None else carry
+        dual = carry.get("tv_dual")
+        if dual is None:
+            dual = np.zeros((2, np.size(v)))
+        out = tv_prox(v, tau, iterations=self.iterations, dual=dual)
+        carry["tv_dual"] = dual  # only once tv_prox has accepted v
         return out

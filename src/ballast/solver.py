@@ -20,7 +20,6 @@ unknown itself, which is the image (``"direct"``) or its frame coefficients
 """
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,9 +42,8 @@ CONVERGED = "converged"
 EXHAUSTED = "exhausted"
 
 # Convergence needs the constraint norm within (1 + FEASIBILITY_SLACK) *
-# epsilon and a flat objective over the last OBJECTIVE_WINDOW records.
+# epsilon and an image that moved by at most rel_tol of its norm in the step.
 FEASIBILITY_SLACK = 0.01
-OBJECTIVE_WINDOW = 5
 
 # Over-relaxation factor alpha of each step: the proxes and dual updates see
 # H u + (alpha - 1)(H u - v) in place of H u.  ADMM converges for any alpha in
@@ -81,7 +79,7 @@ class SolverConfig:
     mu: float = 1.0
     epsilon: float = 0.0
     max_iterations: int = 500
-    objective_rel_tol: float = 1e-4
+    rel_tol: float = 3e-4  # bound on ||x_k - x_{k-1}|| / ||x_k||, one for every run
     warm_start: str = "zero"  # "zero" | "adjoint" | "observation"
     record_history: bool = True
 
@@ -92,6 +90,8 @@ class SolverConfig:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not (self.rel_tol >= 0):
+            raise ValueError(f"rel_tol must be nonnegative, got {self.rel_tol}")
         if self.warm_start not in ("zero", "adjoint", "observation"):
             raise ValueError(f"unknown warm_start mode {self.warm_start!r}")
 
@@ -125,6 +125,7 @@ class IterationRecord:
     primal_residual: float
     wall_time: float
     mse: float = float("nan")
+    relative_change: float = float("nan")  # ||x_k - x_{k-1}|| / ||x_k||; NaN before k = 2
 
 
 @dataclass
@@ -209,27 +210,19 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
     return state
 
 
-def check_stop(history, config):
-    """Feasible and objective-flat => converged; out of budget => exhausted.
+def check_stop(record, config):
+    """Feasible and still => converged; out of budget => exhausted.
 
     Convergence needs the constraint norm within ``(1 + FEASIBILITY_SLACK) *
-    epsilon`` and the objective's relative range over the last
-    ``OBJECTIVE_WINDOW + 1`` records below ``objective_rel_tol``.  The range
-    spans the whole window, not just its two ends: an objective swinging
-    through a turning point (the relaxed step makes ``mri``'s do) has equal
-    ends mid-swing.  On a monotone window the range is the ends' difference.
+    epsilon`` and ``record.relative_change <= config.rel_tol``: the image
+    moved by at most that share of its norm in the last step.  The test
+    concerns the iterate, as ADMM's convergence theorem does, so one
+    tolerance fits every run.  A NaN change (before ``k = 2``) never passes.
     """
-    if not history:
-        return CONTINUE
-    rec = history[-1]
-    feasible = rec.constraint_norm <= (1.0 + FEASIBILITY_SLACK) * config.epsilon
-    if feasible and len(history) > OBJECTIVE_WINDOW:
-        recent = [history[i].objective for i in range(-1 - OBJECTIVE_WINDOW, 0)]
-        lo, hi = min(recent), max(recent)
-        scale = max(abs(lo), abs(hi), 1e-30)
-        if (hi - lo) / scale <= config.objective_rel_tol:
-            return CONVERGED
-    if rec.k >= config.max_iterations:
+    feasible = record.constraint_norm <= (1.0 + FEASIBILITY_SLACK) * config.epsilon
+    if feasible and record.relative_change <= config.rel_tol:
+        return CONVERGED
+    if record.k >= config.max_iterations:
         return EXHAUSTED
     return CONTINUE
 
@@ -289,9 +282,9 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
     state = SolverState(u=u0, v=v, d=[np.zeros_like(vj) for vj in v], x=x0)
 
     history = []
-    window = deque(maxlen=OBJECTIVE_WINDOW + 1)
     t0 = time.perf_counter()
     while True:
+        previous = state.x
         try:
             step(state, op, ball, penalty, config.mu, formulation, frame)
         except DivergenceError as err:
@@ -300,6 +293,9 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
         hu0, hu1 = state.hu
         objective = penalty.evaluate(hu0)
         constraint = l2_norm(hu1 - y)
+        # a warm start's first u-update returns x0 itself: no change at k = 1
+        change = (l2_norm(state.x - previous) / max(l2_norm(state.x), 1e-300)
+                  if state.k >= 2 else float("nan"))
         finite = np.isfinite(objective) and np.isfinite(constraint)
         primal = mse = float("nan")
         if config.record_history:
@@ -318,11 +314,11 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
             primal_residual=primal,
             wall_time=time.perf_counter() - t0,
             mse=mse,
+            relative_change=change,
         )
         if config.record_history:
             history.append(record)
-        window.append(record)
-        status = check_stop(window, config)
+        status = check_stop(record, config)
         if status != CONTINUE:
             break
     return SolveResult(

@@ -162,7 +162,7 @@ def test_criterion_4_analytic_instance():
     worst_iters = 0
     for mu in (0.1, 1.0, 10.0):
         config = SolverConfig(mu=mu, epsilon=1.0, max_iterations=200,
-                              objective_rel_tol=1e-12)
+                              rel_tol=1e-12)
         res = solve(op, y, L1Norm(), config)
         worst_err = max(worst_err, abs(res.estimate.item() - 4.0))
         worst_iters = max(worst_iters, res.iterations)

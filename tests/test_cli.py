@@ -78,7 +78,9 @@ def test_run_writes_all_outputs(tmp_path, capsys):
                                      "reconstruction", "degraded", "mask"}
 
     header = (run_dir / "history.csv").read_text().splitlines()[0]
-    assert header == "k,objective,constraint_norm,primal_residual,mse"
+    assert header == "k,objective,constraint_norm,primal_residual,mse,relative_change"
+    # a converged run shows the value the stop test saw
+    assert summary["final"]["relative_change"] <= 3e-4
     mask = pnm.read_pbm(run_dir / "mask.pbm")
     assert mask.shape == (32, 32)
     assert mask[0, 0]

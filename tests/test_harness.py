@@ -327,31 +327,31 @@ def test_build_experiment_resolves_aliases():
 
 
 # Every catalog entry as built at size 32: formulation, penalty kind, TV prox
-# warm start, frame levels (None: no frame), mu, iteration budget, objective
-# tolerance, solver warm start, noise sigma and ball radius.
+# inner steps, frame levels (None: no frame), mu, iteration budget, solver
+# warm start, noise sigma and ball radius.
 _SQ2, _SQ8 = math.sqrt(2.0), math.sqrt(8.0)
 _OBS, _ADJ = "observation", "adjoint"
 _EPS_UNIFORM, _EPS_LO, _EPS_HI = 20.03516907839812, 50.59644256269407, 101.19288512538814
 _CATALOG = {
-    "deblur-uniform-syn": ("synthesis", "l1", None, 4, 2.0, 402, 2e-3, _OBS, 0.56, _EPS_UNIFORM),
-    "deblur-gauss-lo-syn": ("synthesis", "l1", None, 4, 1.0, 408, 2e-3, _OBS, _SQ2, _EPS_LO),
-    "deblur-gauss-hi-syn": ("synthesis", "l1", None, 4, 1.0, 327, 2e-3, _OBS, _SQ8, _EPS_HI),
-    "deblur-iq-lo-syn": ("synthesis", "l1", None, 4, 1.0, 174, 2e-3, _OBS, _SQ2, _EPS_LO),
-    "deblur-iq-hi-syn": ("synthesis", "l1", None, 4, 1.0, 123, 5e-3, _OBS, _SQ8, _EPS_HI),
-    "deblur-uniform-ana": ("analysis", "l1", None, 4, 2.0, 414, 1e-4, _OBS, 0.56, _EPS_UNIFORM),
-    "deblur-gauss-lo-ana": ("analysis", "l1", None, 4, 1.0, 327, 1e-4, _OBS, _SQ2, _EPS_LO),
-    "deblur-gauss-hi-ana": ("analysis", "l1", None, 4, 1.0, 261, 1e-4, _OBS, _SQ8, _EPS_HI),
-    "deblur-iq-lo-ana": ("analysis", "l1", None, 4, 1.5, 126, 2e-4, _OBS, _SQ2, _EPS_LO),
-    "deblur-iq-hi-ana": ("analysis", "l1", None, 4, 1.0, 117, 2e-4, _OBS, _SQ8, _EPS_HI),
-    "deblur-uniform-tv": ("direct", "tv", False, None, 0.5, 696, 1e-4, _OBS, 0.56, _EPS_UNIFORM),
-    "deblur-gauss-lo-tv": ("direct", "tv", False, None, 0.5, 450, 1e-4, _OBS, _SQ2, _EPS_LO),
-    "deblur-gauss-hi-tv": ("direct", "tv", False, None, 0.3, 300, 1e-4, _OBS, _SQ8, _EPS_HI),
-    "deblur-iq-lo-tv": ("direct", "tv", False, None, 1.0, 177, 5e-4, _OBS, _SQ2, _EPS_LO),
-    "deblur-iq-hi-tv": ("direct", "tv", False, None, 0.5, 111, 2e-3, _OBS, _SQ8, _EPS_HI),
-    "mri": ("direct", "tv", True, None, 150.0, 300, 1e-4, _ADJ, math.sqrt(0.5e-6),
+    "deblur-uniform-syn": ("synthesis", "l1", None, 4, 2.0, 402, _OBS, 0.56, _EPS_UNIFORM),
+    "deblur-gauss-lo-syn": ("synthesis", "l1", None, 4, 1.0, 408, _OBS, _SQ2, _EPS_LO),
+    "deblur-gauss-hi-syn": ("synthesis", "l1", None, 4, 1.0, 327, _OBS, _SQ8, _EPS_HI),
+    "deblur-iq-lo-syn": ("synthesis", "l1", None, 4, 1.0, 174, _OBS, _SQ2, _EPS_LO),
+    "deblur-iq-hi-syn": ("synthesis", "l1", None, 4, 1.0, 123, _OBS, _SQ8, _EPS_HI),
+    "deblur-uniform-ana": ("analysis", "l1", None, 4, 2.0, 414, _OBS, 0.56, _EPS_UNIFORM),
+    "deblur-gauss-lo-ana": ("analysis", "l1", None, 4, 1.0, 327, _OBS, _SQ2, _EPS_LO),
+    "deblur-gauss-hi-ana": ("analysis", "l1", None, 4, 1.0, 261, _OBS, _SQ8, _EPS_HI),
+    "deblur-iq-lo-ana": ("analysis", "l1", None, 4, 1.5, 126, _OBS, _SQ2, _EPS_LO),
+    "deblur-iq-hi-ana": ("analysis", "l1", None, 4, 1.0, 117, _OBS, _SQ8, _EPS_HI),
+    "deblur-uniform-tv": ("direct", "tv", 3, None, 0.5, 696, _OBS, 0.56, _EPS_UNIFORM),
+    "deblur-gauss-lo-tv": ("direct", "tv", 3, None, 0.5, 450, _OBS, _SQ2, _EPS_LO),
+    "deblur-gauss-hi-tv": ("direct", "tv", 3, None, 0.3, 300, _OBS, _SQ8, _EPS_HI),
+    "deblur-iq-lo-tv": ("direct", "tv", 3, None, 1.0, 177, _OBS, _SQ2, _EPS_LO),
+    "deblur-iq-hi-tv": ("direct", "tv", 3, None, 0.5, 111, _OBS, _SQ8, _EPS_HI),
+    "mri": ("direct", "tv", 10, None, 150.0, 300, _ADJ, math.sqrt(0.5e-6),
             0.019581027308756157),
-    "squares": ("direct", "tv", False, None, 5.0, 150, 1e-4, _ADJ, 0.1, 2.969330025059449),
-    "inpaint": ("direct", "tv", False, None, 0.05, 200, 1e-4, _ADJ, 0.9297886137166786,
+    "squares": ("direct", "tv", 3, None, 5.0, 150, _ADJ, 0.1, 2.969330025059449),
+    "inpaint": ("direct", "tv", 3, None, 0.05, 200, _ADJ, 0.9297886137166786,
                 26.96751808247105),
 }
 
@@ -359,21 +359,21 @@ _CATALOG = {
 def test_catalog_pins_every_entry():
     assert sorted(_CATALOG) == experiment_names()
     for name, expected in _CATALOG.items():
-        (formulation, kind, tv_warm, levels, mu, budget, tol, warm_start,
+        (formulation, kind, tv_steps, levels, mu, budget, warm_start,
          sigma, epsilon) = expected
         setup = build_experiment(name, size=32)
         assert setup.name == name
         assert setup.formulation == formulation, name
         assert setup.penalty.kind == kind, name
-        assert getattr(setup.penalty, "warm_start", None) == tv_warm, name
+        assert getattr(setup.penalty, "iterations", None) == tv_steps, name
         if levels is None:
             assert setup.frame is None, name
         else:
             assert type(setup.frame) is UndecimatedHaar, name
             assert setup.frame.levels == levels, name
         config = setup.config
-        assert (config.mu, config.max_iterations, config.objective_rel_tol,
-                config.warm_start) == (mu, budget, tol, warm_start), name
+        assert (config.mu, config.max_iterations, config.rel_tol,
+                config.warm_start) == (mu, budget, 3e-4, warm_start), name
         assert setup.instance.sigma == pytest.approx(sigma, rel=1e-12), name
         assert setup.instance.epsilon == pytest.approx(epsilon, rel=1e-12), name
         assert config.epsilon == setup.instance.epsilon, name
@@ -465,7 +465,7 @@ def test_counting_is_numerically_transparent_end_to_end():
 def test_operator_call_counts_scale_with_iterations():
     def run_with_budget(budget):
         setup = build_experiment("inpaint", size=32, iterations=budget)
-        setup.config.objective_rel_tol = 0.0  # force the full budget
+        setup.config.rel_tol = 0.0  # force the full budget
         return run_experiment(setup)
 
     short = run_with_budget(10)

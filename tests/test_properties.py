@@ -285,11 +285,16 @@ def test_tv_prox_matches_chambolle_reference_bitwise(h, w, tau, iterations, warm
     rng = np.random.default_rng(seed)
     v = random_element(rng, (h, w)) * rng.uniform(0.1, 10.0)
     dual_init = None
+    dual = np.zeros((2, h * w))
     if warm:  # nonzero in the last column of px and the last row of py too
         dual_init = (random_element(rng, (h, w)), random_element(rng, (h, w)))
         assert np.all(dual_init[0][:, -1] != 0) and np.all(dual_init[1][-1, :] != 0)
-    want, (want_x, want_y) = chambolle_reference(v, tau, iterations, dual_init=dual_init)
-    got, (got_x, got_y) = tv_prox(v, tau, iterations, dual_init=dual_init, return_dual=True)
+        dual.reshape(2, h, w)[...] = dual_init
+    want, (want_x, want_y) = chambolle_reference(v, tau, iterations, dual_step=0.125,
+                                                 dual_init=dual_init)
+    # the in-place dual of tv_prox ends holding the reference's final field
+    got = tv_prox(v, tau, iterations, dual=dual)
+    got_x, got_y = dual.reshape(2, h, w)
     assert got.tobytes() == want.tobytes()
     # px[:, -1] and py[-1, :] never enter the divergence; tv_prox holds them at 0
     assert got_x[:, :-1].tobytes() == want_x[:, :-1].tobytes()

@@ -262,9 +262,12 @@ def test_tv_prox_deterministic(rng):
 
 def test_tv_prox_dual_carry_changes_start(rng):
     v = rng.standard_normal((6, 6))
-    out, dual = tv_prox(v, 0.3, iterations=10, return_dual=True)
-    resumed = tv_prox(v, 0.3, iterations=10, dual_init=dual)
+    dual = np.zeros((2, v.size))
+    first = tv_prox(v, 0.3, iterations=10, dual=dual)
     cold = tv_prox(v, 0.3, iterations=10)
+    np.testing.assert_array_equal(first, cold)  # a zero dual is the cold start
+    assert dual.any()  # the call left its final field in place
+    resumed = tv_prox(v, 0.3, iterations=10, dual=dual)
     # resuming from the carried dual is the same as running twice as long
     long_run = tv_prox(v, 0.3, iterations=20)
     np.testing.assert_allclose(resumed, long_run, atol=1e-12)
@@ -272,17 +275,14 @@ def test_tv_prox_dual_carry_changes_start(rng):
 
 
 def test_tv_prox_rejects_misshapen_dual_init(rng):
-    # a (1, w) field used to broadcast silently over the rows
+    # the dual is updated in place, so anything but a float64 (2, h*w) array
+    # is refused rather than broadcast or copied
     v = rng.standard_normal((5, 6))
-    good = np.zeros((5, 6))
-    for bad in (np.zeros((1, 6)), np.zeros((6, 5)), np.zeros(30)):
-        for dual in ((bad, good), (good, bad)):
-            with pytest.raises(ValueError, match="dual_init"):
-                tv_prox(v, 0.3, dual_init=dual)
-    # one array too few or too many
-    for dual in ((good,), (good, good, good)):
-        with pytest.raises(ValueError, match="dual_init"):
-            tv_prox(v, 0.3, dual_init=dual)
+    for bad in (np.zeros((2, 5, 6)), np.zeros((2, 31)), np.zeros((1, 30)), np.zeros(60),
+                np.zeros((2, 30), dtype=np.float32), np.zeros((2, 30)).tolist(),
+                (np.zeros(30), np.zeros(30))):
+        with pytest.raises(ValueError, match="dual"):
+            tv_prox(v, 0.3, dual=bad)
 
 
 def test_tv_prox_rejects_negative_iterations(rng):
@@ -323,20 +323,26 @@ def test_penalty_midpoint_convexity(rng):
 
 
 def test_tv_penalty_warm_start_uses_solver_carry(rng):
-    tv = IsotropicTV(iterations=8, warm_start=True)
+    tv = IsotropicTV(iterations=8)
     v = rng.standard_normal((6, 6))
     carry = {}
     first = tv.prox(v, 0.5, carry)
-    assert "tv_dual" in carry
+    dual = carry["tv_dual"]
+    assert dual.shape == (2, 36)
     second = tv.prox(v, 0.5, carry)
+    # the same array, updated in place: no copy per call
+    assert carry["tv_dual"] is dual
     # second call resumes from the stored dual field: same as 16 cold steps
     np.testing.assert_allclose(second, tv_prox(v, 0.5, iterations=16), atol=1e-12)
     assert np.linalg.norm(second - first) > 0
+    # without a carry every call starts cold, and the penalty keeps no state
+    np.testing.assert_array_equal(tv.prox(v, 0.5), tv_prox(v, 0.5, iterations=8))
+    assert vars(tv) == {"iterations": 8}
 
 
 def test_tv_penalty_rejects_complex_input(rng):
     # the penalty acts on real images only, like tv_norm and tv_prox
-    tv = IsotropicTV(iterations=6, warm_start=True)
+    tv = IsotropicTV(iterations=6)
     v = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     carry = {}
     with pytest.raises(ValueError, match="real image"):

@@ -34,3 +34,21 @@ def test_tune_mu_runs_one_experiment():
     assert info["iters"] <= info["budget"] == 5
     line = tune_mu.fmt("deblur-uniform-tv", info)
     assert line.startswith("deblur-uniform-tv ") and line.endswith(("OK", "--"))
+
+
+def test_bench_writes_catalog_and_sweep(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(TOOLS))  # bench imports git_sha from microbench
+    bench = load_tool("bench")
+    out = tmp_path / "bench.json"
+    assert bench.main(["--size", "16", "--no-perfbench", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == str(out)
+    data = json.loads(out.read_text())
+    assert data["meta"]["nproc"] >= 1 and data["meta"]["numpy"] and data["meta"]["git_sha"]
+    assert len(data["catalog"]) == 18
+    assert set(data["sweep"]) == {"deblur-uniform-tv", "mri", "inpaint"}
+    for runs in [data["catalog"], *data["sweep"].values()]:
+        for run in runs.values():
+            assert 1 <= run["iterations"] and run["wall_s"] > 0 and run["ms_per_iter"] > 0
+            assert run["rel_error"] > 0 and run["status"] in ("converged", "exhausted")
+    assert all(set(by_size) == {"16", "32", "64"} for by_size in data["sweep"].values())
+    assert data["perfbench"] == {}

@@ -1,0 +1,108 @@
+"""Write one BENCH_<n>.json: the end-to-end numbers a performance change quotes.
+
+The file holds:
+
+- ``meta``: nproc, the Python and numpy versions and the git sha of the
+  checkout;
+- ``catalog``: each of the 18 catalog runs at ``--size``, with its
+  iterations, wall seconds (fastest of ``REPEAT`` solves), ms per iteration,
+  relative error and status;
+- ``sweep``: ``deblur-uniform-tv``, ``mri`` and ``inpaint`` at 1x, 2x and 4x
+  ``--size`` (128, 256 and 512 by default), with iterations and ms per
+  iteration reported apart, since algorithmic changes trade one for the
+  other;
+- ``perfbench``: the final JSON line of ``perfbench/run.py --trace 0`` and
+  ``--trace 1`` on each of its four workloads, at its default seed and run
+  length.
+
+Solves run one at a time in this process, and the ``perfbench`` runs one at
+a time in subprocesses, so nothing else of this tool competes for a core.
+
+Usage (from the repository root):
+
+    PYTHONPATH=src python3 tools/bench.py          # writes the next free BENCH_<n>.json
+    PYTHONPATH=src python3 tools/bench.py --size 16 --no-perfbench --out /tmp/bench.json
+"""
+
+import argparse
+import itertools
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from ballast import build_experiment, experiment_names, run_experiment
+from microbench import git_sha
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 3  # solves per run; the fastest gives the wall time
+SWEEP = ("deblur-uniform-tv", "mri", "inpaint")  # one run per problem family
+WORKLOADS = ("deblur-tv", "deblur-syn-256", "mri", "inpaint-256")
+
+
+def timed_run(name, size):
+    """Iterations, fastest wall s, ms/iter, relative error and status of one run."""
+    best = float("inf")
+    for _ in range(REPEAT):
+        setup = build_experiment(name, size=size)
+        t0 = time.perf_counter()
+        report = run_experiment(setup, counting=False)
+        best = min(best, time.perf_counter() - t0)
+    return {
+        "iterations": report.iterations,
+        "wall_s": round(best, 4),
+        "ms_per_iter": round(1e3 * best / report.iterations, 4),
+        "rel_error": report.relative_error,
+        "status": report.status,
+    }
+
+
+def perfbench(workload, trace):
+    """The final JSON line of one ``perfbench/run.py`` run."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):  # 1: ran, but some solve failed its checks
+        raise RuntimeError(f"perfbench {workload} --trace {trace} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--size", type=int, default=128,
+                        help="catalog image side and sweep base (default 128; at least 16)")
+    parser.add_argument("--no-perfbench", action="store_true",
+                        help="skip the perfbench runs (about 3 minutes)")
+    parser.add_argument("--out", type=Path, help="output file (default: next free BENCH_<n>.json)")
+    args = parser.parse_args(argv)
+    if args.size < 16:
+        parser.error("--size must be >= 16")
+    out = args.out
+    if out is None:
+        n = next(n for n in itertools.count(1) if not (ROOT / f"BENCH_{n}.json").exists())
+        out = ROOT / f"BENCH_{n}.json"
+    bench = {
+        "meta": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                 "numpy": np.__version__, "git_sha": git_sha(), "repeat": REPEAT,
+                 "size": args.size},
+        "catalog": {name: timed_run(name, args.size) for name in experiment_names()},
+        "sweep": {name: {str(size): timed_run(name, size)
+                         for size in (args.size, 2 * args.size, 4 * args.size)}
+                  for name in SWEEP},
+        "perfbench": {} if args.no_perfbench else {
+            f"{workload} --trace {trace}": perfbench(workload, trace)
+            for workload in WORKLOADS for trace in (0, 1)},
+    }
+    out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,14 +1,16 @@
 """Sweep ADMM penalty weights for the benchmark catalog.
 
-For each (experiment, mu, tol) combination this reports the quantities the
+For each (experiment, mu) combination this reports the quantities the
 benchmark suite later asserts: iterations to convergence vs. budget, final
 feasibility, whether the constraint norm crosses epsilon from above, the
 iteration where the objective peaks, and how many objective increases remain
 after iteration 10.  The tuned values live in ballast.harness._SETTINGS (one
-(mu, budget, tol) row per catalog run); this script reproduces the evidence
+(mu, budget) row per catalog run); this script reproduces the evidence
 behind them.  Those sweeps predate the over-relaxed step
-(``ballast.solver.RELAXATION``): the table was tuned at relaxation 1, so
-rerunning a sweep now reports the relaxed solver, not the original evidence.
+(``ballast.solver.RELAXATION``), the iterate-change stop test and the warm
+3-step TV prox: the table was tuned at relaxation 1, with an objective
+tolerance per run and a cold 10-step prox, so rerunning a sweep now reports
+today's solver, not the original evidence.
 
 Usage:
     python3 tools/tune_mu.py deblur-uniform-tv --mu 0.3,0.5,1.0
@@ -39,7 +41,6 @@ def analyze(report):
     feasible = bool(report.final_constraint_norm <= (1.0 + FEASIBILITY_SLACK) * eps)
     return {
         "mu": report.config.mu,
-        "tol": report.config.objective_rel_tol,
         "status": report.status,
         "iters": report.iterations,
         "budget": report.config.max_iterations,
@@ -52,11 +53,9 @@ def analyze(report):
     }
 
 
-def run_one(name, mu=None, tol=None, size=None, iterations=None, seed=0):
+def run_one(name, mu=None, size=None, iterations=None, seed=0):
     setup = build_experiment(name, size=size, seed=seed, mu=mu,
                              iterations=iterations)
-    if tol is not None:
-        setup.config.objective_rel_tol = tol
     t0 = time.perf_counter()
     report = run_experiment(setup, counting=False)
     dt = time.perf_counter() - t0
@@ -74,7 +73,7 @@ def fmt(name, info):
         and info["viol10"] == 0
     )
     return (
-        f"{name:24s} mu={info['mu']:<8g} tol={info['tol']:<8g} "
+        f"{name:24s} mu={info['mu']:<8g} "
         f"{info['status']:9s} k={info['iters']:3d}/{info['budget']:3d} "
         f"mse={info['mse']:10.4g} feas={int(info['feasible'])} "
         f"cross={int(info['crossed'])} peak={info['peak']:3d} "
@@ -87,14 +86,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("experiment", help="catalog name, or 'all-deblur'")
     ap.add_argument("--mu", help="comma list of penalty weights (default: catalog value)")
-    ap.add_argument("--tol", help="comma list of objective tolerances")
     ap.add_argument("--size", type=int, default=None)
     ap.add_argument("--iterations", type=int, default=None)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     mus = [float(x) for x in args.mu.split(",")] if args.mu else [None]
-    tols = [float(x) for x in args.tol.split(",")] if args.tol else [None]
 
     if args.experiment == "all-deblur":
         names = [n for n in experiment_names() if n.startswith("deblur-")]
@@ -103,15 +100,14 @@ def main():
 
     for name in names:
         for mu in mus:
-            for tol in tols:
-                try:
-                    info = run_one(name, mu=mu, tol=tol, size=args.size,
-                                   iterations=args.iterations, seed=args.seed)
-                except (DivergenceError, ValueError) as exc:  # diverged or bad knob
-                    print(f"{name:24s} mu={mu} tol={tol} FAILED: {exc}")
-                    continue
-                print(fmt(name, info))
-                sys.stdout.flush()
+            try:
+                info = run_one(name, mu=mu, size=args.size,
+                               iterations=args.iterations, seed=args.seed)
+            except (DivergenceError, ValueError) as exc:  # diverged or bad knob
+                print(f"{name:24s} mu={mu} FAILED: {exc}")
+                continue
+            print(fmt(name, info))
+            sys.stdout.flush()
 
 
 if __name__ == "__main__":
