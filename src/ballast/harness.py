@@ -436,7 +436,7 @@ EXPERIMENTS = {
         for formulation, tag in _FORMULATION_TAG.items()
     },
     # mri's large mu makes a small prox weight (1/150) that needs more inner
-    # steps: at 3 or 5 its relative error is 27% or 16% above that at 10
+    # steps: at 3 or 5 its relative error is about 28% or 17% above that at 10
     "mri": _Experiment(fourier_phantom_instance, "direct",
                        partial(IsotropicTV, iterations=10), "adjoint"),
     "squares": _Experiment(fourier_squares_instance, "direct", IsotropicTV, "adjoint"),
