@@ -22,7 +22,6 @@ from .harness import (
     fourier_squares_instance,
     inpainting_instance,
     make_blur_kernel,
-    mse,
     radial_mask,
     random_squares,
     relative_error,
@@ -43,6 +42,7 @@ from .prox import (
     BallConstraint,
     IsotropicTV,
     L1Norm,
+    mse,
     project_ball,
     soft_threshold,
     tv_norm,
@@ -79,7 +79,6 @@ __all__ = [
     "fourier_squares_instance",
     "inpainting_instance",
     "make_blur_kernel",
-    "mse",
     "radial_mask",
     "random_squares",
     "relative_error",
@@ -96,6 +95,7 @@ __all__ = [
     "BallConstraint",
     "IsotropicTV",
     "L1Norm",
+    "mse",
     "project_ball",
     "soft_threshold",
     "tv_norm",

@@ -26,7 +26,7 @@ from .operators import (
     RealPartialFourier,
     add_noise,
 )
-from .prox import IsotropicTV, L1Norm, l2_norm
+from .prox import IsotropicTV, L1Norm, l2_norm, mse
 from .solver import SolverConfig, solve
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "radial_mask",
     "random_squares",
     "cartoon",
-    "mse",
     "relative_error",
     "isnr",
     "ProblemInstance",
@@ -201,15 +200,6 @@ def cartoon(n):
     img[(np.abs(xx - 0.55) < 0.10) & (np.abs(yy - 0.60) < 0.08)] = 1.00
     img[(xx - 0.62) ** 2 + (yy + 0.55) ** 2 < 0.045**2] = 0.25
     return img * 255.0
-
-
-def mse(a, b):
-    """Mean squared error; complex differences use squared magnitude."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean(np.abs(a - b) ** 2))
 
 
 def relative_error(estimate, truth):

@@ -1,5 +1,6 @@
 """Proximal maps and penalty functions: soft thresholding, isotropic total
-variation via Chambolle's dual fixed point, and Euclidean ball projection.
+variation via Chambolle's dual fixed point, and Euclidean ball projection;
+also the norms the solver's per-iteration record reads (``l2_norm``, ``mse``).
 
 Every prox here is nonexpansive and deterministic; the solver relies on both.
 """
@@ -12,6 +13,7 @@ __all__ = [
     "tv_prox",
     "BallConstraint",
     "project_ball",
+    "mse",
     "L1Norm",
     "IsotropicTV",
 ]
@@ -42,9 +44,14 @@ def tv_norm(x):
         raise ValueError("tv_norm expects a real image; split complex input first")
     if x.ndim != 2 or min(x.shape) < 2:
         raise ValueError(f"TV needs a 2D image with both sides >= 2, got shape {x.shape}")
-    gx = np.diff(x, axis=1, append=x[:, -1:])
-    gy = np.diff(x, axis=0, append=x[-1:])
-    return float(np.sum(np.sqrt(gx * gx + gy * gy)))
+    # forward differences into zeroed arrays: the last column of gx and the
+    # last row of gy stay zero, then |grad|^2 and its root are formed in place
+    gx, gy = g = np.zeros((2, *x.shape), dtype=x.dtype if x.dtype.kind == "f" else np.float64)
+    np.subtract(x[:, 1:], x[:, :-1], out=gx[:, :-1])
+    np.subtract(x[1:], x[:-1], out=gy[:-1])
+    np.multiply(g, g, out=g)
+    np.add(gx, gy, out=gx)
+    return float(np.sum(np.sqrt(gx, out=gx)))
 
 
 def tv_prox(v, tau, iterations=10, dual_step=0.125, dual=None):
@@ -118,6 +125,22 @@ def l2_norm(a):
     a = np.ravel(a)
     a = a.view(a.real.dtype)
     return float(np.sqrt(np.einsum("i,i->", a, a)))
+
+
+def mse(a, b):
+    """Mean squared error; complex differences use squared magnitude.
+
+    The same bits as ``np.mean(np.abs(a - b) ** 2)``, from one array-sized
+    temporary for real input, which is freed on return.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    d = a - b
+    if np.iscomplexobj(d):
+        d = np.abs(d)
+    return float(np.mean(np.multiply(d, d, out=d)))
 
 
 class BallConstraint:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prox import BallConstraint, l2_norm, project_ball
+from .prox import BallConstraint, l2_norm, mse, project_ball
 
 __all__ = [
     "SolverConfig",
@@ -72,8 +72,9 @@ class SolverConfig:
     """Knobs for one solve; validated on construction.
 
     ``record_history=False`` keeps no per-iteration records and skips the
-    primal residual and the MSE, which the stop rule does not read: the
-    iterates and the stop are those of a run with history on.
+    objective, the primal residual and the MSE, which the stop rule does not
+    read: the iterates and the stop are those of a run with history on, and
+    the objective is evaluated once, for the final record.
     """
 
     mu: float = 1.0
@@ -291,19 +292,19 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
             err.history = history
             raise
         hu0, hu1 = state.hu
-        objective = penalty.evaluate(hu0)
         constraint = l2_norm(hu1 - y)
         # a warm start's first u-update returns x0 itself: no change at k = 1
         change = (l2_norm(state.x - previous) / max(l2_norm(state.x), 1e-300)
                   if state.k >= 2 else float("nan"))
-        finite = np.isfinite(objective) and np.isfinite(constraint)
-        primal = mse = float("nan")
+        objective = primal = error = float("nan")
+        finite = np.isfinite(constraint)
         if config.record_history:
+            objective = penalty.evaluate(hu0)
             primal = float(np.sqrt(l2_norm(hu0 - state.v[0]) ** 2
                                    + l2_norm(hu1 - state.v[1]) ** 2))
-            finite = finite and np.isfinite(primal)
+            finite = finite and np.isfinite(objective) and np.isfinite(primal)
             if truth is not None:
-                mse = float(np.mean(np.abs(state.x - truth) ** 2))
+                error = mse(state.x, truth)
         if not finite:
             raise DivergenceError(f"non-finite instrumentation at iteration {state.k}",
                                   state=state, history=history)
@@ -313,7 +314,7 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
             constraint_norm=constraint,
             primal_residual=primal,
             wall_time=time.perf_counter() - t0,
-            mse=mse,
+            mse=error,
             relative_change=change,
         )
         if config.record_history:
@@ -321,6 +322,12 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
         status = check_stop(record, config)
         if status != CONTINUE:
             break
+    if not config.record_history:
+        # the stop rule never reads the objective: evaluate it once, for the final record
+        record.objective = penalty.evaluate(state.hu[0])
+        if not np.isfinite(record.objective):
+            raise DivergenceError(f"non-finite objective at iteration {state.k}",
+                                  state=state, history=history)
     return SolveResult(
         estimate=state.x,
         u=state.u,

@@ -8,8 +8,9 @@ Parseval round trip of both Haar frames, and the ball projection.  The
 real-image Fourier operator's real adjoint and inverse are checked on masks
 that are not point-symmetric.  The undecimated Haar transforms are also
 pinned bit for bit to an ``np.roll`` reference, the real-FFT convolution
-to a full complex-FFT reference, and the TV prox to the straightforward 2-D
-Chambolle loop it replaced.
+to a full complex-FFT reference, the TV prox to the straightforward 2-D
+Chambolle loop it replaced, and the flat-index sampling operators, the TV
+norm and the MSE to the boolean-mask and ``np.diff`` formulas they replaced.
 """
 
 import numpy as np
@@ -25,7 +26,9 @@ from ballast import (
     RealPartialFourier,
     SynthesisOperator,
     UndecimatedHaar,
+    mse,
     project_ball,
+    tv_norm,
     tv_prox,
 )
 
@@ -84,6 +87,23 @@ def random_element(rng, shape, dtype=np.float64):
 
 def norm(a):
     return float(np.linalg.norm(np.ravel(a)))
+
+
+def laid_out(rng, shape, dtype, layout):
+    """A random array of ``shape``: C-ordered, a transposed view or a strided view."""
+    if layout == "transposed":
+        return random_element(rng, shape[::-1], dtype).T
+    if layout == "strided":
+        return random_element(rng, (2 * shape[0], 3 * shape[1]), dtype)[::2, ::3]
+    return random_element(rng, shape, dtype)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+layouts = st.sampled_from(["contiguous", "transposed", "strided"])
 
 
 @PROPERTY
@@ -300,3 +320,54 @@ def test_tv_prox_matches_chambolle_reference_bitwise(h, w, tau, iterations, warm
     assert got_x[:, :-1].tobytes() == want_x[:, :-1].tobytes()
     assert got_y[:-1, :].tobytes() == want_y[:-1, :].tobytes()
     assert not got_x[:, -1].any() and not got_y[-1, :].any()
+
+
+@PROPERTY
+@given(sides, sides, st.booleans(), layouts, seeds)
+def test_sampling_operators_match_boolean_mask_formulas_bitwise(h, w, is_complex, layout,
+                                                                 seed):
+    rng = np.random.default_rng(seed)
+    mask = random_mask(rng, (h, w))
+    dtype = np.complex128 if is_complex else np.float64
+    pixels, fourier = PixelMask(mask), PartialFourier(mask)
+    x = laid_out(rng, (h, w), dtype, layout)
+    r = random_element(rng, (int(mask.sum()),), dtype)
+    assert_same_bits(pixels.forward(x), x[mask])
+    grid = np.zeros((h, w), dtype=dtype)
+    grid[mask] = r
+    assert_same_bits(pixels.adjoint(r), grid)
+    assert_same_bits(pixels.shifted_normal_inverse(x), np.where(mask, 0.5 * x, x))
+    assert_same_bits(fourier.forward(x), np.fft.fft2(x, norm="ortho")[mask])
+    grid = np.zeros((h, w), dtype=np.complex128)
+    grid[mask] = r
+    assert_same_bits(fourier.adjoint(r), np.fft.ifft2(grid, norm="ortho"))
+
+
+def diff_tv_norm(x):
+    """The ``np.diff`` formula ``tv_norm`` used before its in-place kernel."""
+    gx = np.diff(x, axis=1, append=x[:, -1:])
+    gy = np.diff(x, axis=0, append=x[-1:])
+    return float(np.sum(np.sqrt(gx * gx + gy * gy)))
+
+
+@PROPERTY
+@given(st.integers(2, 17), st.integers(2, 17), st.sampled_from([np.float64, np.float32]),
+       layouts, seeds)
+def test_tv_norm_matches_diff_formula_bitwise(h, w, dtype, layout, seed):
+    rng = np.random.default_rng(seed)
+    for shape in [(h, w), (2, w), (h, 2)]:
+        x = laid_out(rng, shape, np.float64, layout).astype(dtype, copy=False)
+        # the formula sums in memory order, so a transposed view is pinned to
+        # its C-ordered copy: tv_norm gives the same bits for every layout
+        # float32 input keeps float32 arithmetic, as the formula does
+        assert tv_norm(x) == diff_tv_norm(np.ascontiguousarray(x))
+
+
+@PROPERTY
+@given(sides, sides, st.booleans(), layouts, seeds)
+def test_mse_matches_mean_abs_square_bitwise(h, w, is_complex, layout, seed):
+    rng = np.random.default_rng(seed)
+    dtype = np.complex128 if is_complex else np.float64
+    a = laid_out(rng, (h, w), dtype, layout)
+    b = random_element(rng, (h, w), dtype)
+    assert mse(a, b) == float(np.mean(np.abs(a - b) ** 2))

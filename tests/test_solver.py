@@ -396,6 +396,32 @@ def test_stop_rule_works_with_history_recording_disabled():
     assert abs(res.estimate.item() - 4.0) <= 1e-6
 
 
+class CountingTV(IsotropicTV):
+    """Isotropic TV that counts its ``evaluate`` calls."""
+
+    evaluations = 0
+
+    def evaluate(self, v):
+        self.evaluations += 1
+        return super().evaluate(v)
+
+
+def test_history_off_evaluates_the_objective_once():
+    inst = inpainting_instance(size=32, seed=0)
+    results = {}
+    for record_history in (True, False):
+        penalty = CountingTV()
+        config = SolverConfig(mu=0.2, epsilon=inst.epsilon, max_iterations=200,
+                              warm_start="adjoint", record_history=record_history)
+        results[record_history] = solve(inst.operator, inst.observation, penalty, config,
+                                        truth=inst.truth), penalty.evaluations
+    (on, on_calls), (off, off_calls) = results[True], results[False]
+    assert on_calls == on.iterations > 1 and off_calls == 1
+    assert off.iterations == on.iterations
+    assert off.last_record.objective == on.last_record.objective == on.history[-1].objective
+    assert off.estimate.tobytes() == on.estimate.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # warm starts, validation, divergence
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ For each image side it times, on random float64 data:
 - analysis and synthesis of ``UndecimatedHaar(levels=4)``;
 - ``soft_threshold`` on that frame's coefficients, ``tv_prox`` with 10
   inner steps from a warm dual field, and ``project_ball`` of an
-  observation-sized point from outside the ball.
+  observation-sized point from outside the ball;
+- the per-iteration record's own primitives: ``tv_norm`` of the image and
+  ``L1Norm.evaluate`` of the frame coefficients, the objectives of the TV
+  and the frame formulations.
 
 Each repeat times a batch of calls sized to take about ``BATCH_MS``; a
 primitive's time is the fastest repeat's mean per call.  One JSON line per
@@ -35,6 +38,7 @@ import ballast
 from ballast import (
     BallConstraint,
     CircularConvolution,
+    L1Norm,
     PixelMask,
     RealPartialFourier,
     UndecimatedHaar,
@@ -42,6 +46,7 @@ from ballast import (
     project_ball,
     radial_mask,
     soft_threshold,
+    tv_norm,
     tv_prox,
 )
 
@@ -74,6 +79,8 @@ def primitives(size, seed=0):
     y = ops["convolution"].forward(x)
     ball = BallConstraint(y, 0.5 * float(np.linalg.norm(y)))
     calls["project_ball"] = lambda: project_ball(2.0 * y, ball)
+    calls["tv_norm"] = lambda: tv_norm(x)
+    calls["l1.evaluate"] = lambda: L1Norm().evaluate(coefficients)
     return calls
 
 
