@@ -357,9 +357,9 @@ def test_tv_norm_matches_diff_formula_bitwise(h, w, dtype, layout, seed):
     rng = np.random.default_rng(seed)
     for shape in [(h, w), (2, w), (h, 2)]:
         x = laid_out(rng, shape, np.float64, layout).astype(dtype, copy=False)
-        # the formula sums in memory order, so a transposed view is pinned to
-        # its C-ordered copy: tv_norm gives the same bits for every layout
-        # float32 input keeps float32 arithmetic, as the formula does
+        # np.diff's result sums in memory order, so a transposed view is pinned
+        # to its C-ordered copy (tv_norm gives the same bits for every layout);
+        # float32 input keeps float32 arithmetic on both sides
         assert tv_norm(x) == diff_tv_norm(np.ascontiguousarray(x))
 
 
