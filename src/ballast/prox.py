@@ -30,8 +30,12 @@ def soft_threshold(v, tau):
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     v = np.asarray(v)
     if not np.iscomplexobj(v):
-        # at or below tau, v - v is exactly +0.0; above it, exactly v -/+ tau
-        return v - np.clip(v, -tau, tau)
+        # at or below tau, v - v is exactly +0.0; above it, exactly v -/+ tau.
+        # The difference goes into the clip array, so only one array-sized
+        # result is allocated; a 0-d input clips to a scalar, which cannot
+        # be an out=
+        c = np.clip(v, -tau, tau)
+        return v - c if np.ndim(c) == 0 else np.subtract(v, c, out=c)
     mag = np.abs(v)
     shrunk = np.maximum(mag - tau, 0.0)
     return v * (shrunk / np.where(mag > 0, mag, 1.0))

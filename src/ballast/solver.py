@@ -156,6 +156,18 @@ def _relaxed_prox_input(hu, v, d):
     return w
 
 
+def _dual_update(v, w):
+    """``v - w``, written into the prox input ``w``, which is dead after it.
+
+    A fresh array when the prox returned ``w`` itself or a view of it (as
+    ``project_ball`` does inside the ball), or when ``w`` cannot hold the
+    difference's dtype.
+    """
+    if np.may_share_memory(v, w) or np.result_type(v, w) != w.dtype:
+        return v - w
+    return np.subtract(v, w, out=w)
+
+
 def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
     """One C-SALSA iteration of ``formulation`` on the image-domain ``op``.
 
@@ -167,9 +179,14 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
     feasibility block's is ``project_ball(., ball)``.  Both see the
     over-relaxed point ``Hu + (RELAXATION - 1)(Hu - v)``, with ``v`` the
     split variable before the step: the prox input ``w`` is that point minus
-    ``d`` and the dual update is ``v_new - w``.  ``state.hu`` keeps the
-    unrelaxed ``Hu``.  The state is updated only once the image ``x``,
-    ``v[0]`` and ``v[1]`` are all finite.
+    ``d`` and the dual update is ``v_new - w``, written into ``w`` (so a prox
+    must not keep its input).  ``state.hu`` keeps the unrelaxed ``Hu``.  The
+    state is updated only once the image ``x``, ``v[0]`` and ``v[1]`` are
+    all finite.
+
+    In the synthesis and analysis formulations at most six coefficient-sized
+    arrays are alive at once: the last iterate's ``hu[0]``, ``v[0]`` and
+    ``d[0]``, and the new ``hu[0]``, the prox input and the prox output.
     """
     d0, d1 = state.d
     if formulation == "synthesis":
@@ -204,8 +221,7 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
     state.u = u
     state.x = x
     state.v = [v0, v1]
-    # fresh arrays: project_ball may return w1 itself as v1
-    state.d = [v0 - w0, v1 - w1]
+    state.d = [_dual_update(v0, w0), _dual_update(v1, w1)]
     state.hu = [hu0, hu1]
     state.k += 1
     return state
@@ -226,6 +242,26 @@ def check_stop(record, config):
     if record.k >= config.max_iterations:
         return EXHAUSTED
     return CONTINUE
+
+
+def _initial_state(op, y, warm_start, formulation, frame):
+    """The warm start's state; a function of its own, so that no local of
+    ``solve`` keeps an initial array alive once the iterates replace it."""
+    if warm_start == "zero":
+        x0 = u0 = None
+        penalty_shape = op.in_shape if formulation == "direct" else (frame.coefficient_length,)
+        v = [np.zeros(penalty_shape), np.zeros(op.out_shape, dtype=op.out_dtype)]
+    else:
+        if warm_start == "adjoint":
+            x0 = op.adjoint(y)
+        else:
+            if y.shape != tuple(op.in_shape):
+                raise ValueError("observation warm start needs an image-shaped observation")
+            x0 = np.array(y, dtype=np.float64, copy=True)
+        hx0 = x0 if formulation == "direct" else frame.analysis(x0)
+        u0 = hx0 if formulation == "synthesis" else x0
+        v = [hx0, op.forward(x0)]
+    return SolverState(u=u0, v=v, d=[np.zeros_like(vj) for vj in v], x=x0)
 
 
 def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
@@ -266,21 +302,7 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
             )
     y = np.asarray(y)
     ball = BallConstraint(y, config.epsilon)
-    if config.warm_start == "zero":
-        x0 = u0 = None
-        penalty_shape = op.in_shape if formulation == "direct" else (frame.coefficient_length,)
-        v = [np.zeros(penalty_shape), np.zeros(op.out_shape, dtype=op.out_dtype)]
-    else:
-        if config.warm_start == "adjoint":
-            x0 = op.adjoint(y)
-        else:
-            if y.shape != tuple(op.in_shape):
-                raise ValueError("observation warm start needs an image-shaped observation")
-            x0 = np.array(y, dtype=np.float64, copy=True)
-        hx0 = x0 if formulation == "direct" else frame.analysis(x0)
-        u0 = hx0 if formulation == "synthesis" else x0
-        v = [hx0, op.forward(x0)]
-    state = SolverState(u=u0, v=v, d=[np.zeros_like(vj) for vj in v], x=x0)
+    state = _initial_state(op, y, config.warm_start, formulation, frame)
 
     history = []
     t0 = time.perf_counter()

@@ -9,8 +9,9 @@ real-image Fourier operator's real adjoint and inverse are checked on masks
 that are not point-symmetric.  The undecimated Haar transforms are also
 pinned bit for bit to an ``np.roll`` reference, the real-FFT convolution
 to a full complex-FFT reference, the TV prox to the straightforward 2-D
-Chambolle loop it replaced, and the flat-index sampling operators, the TV
-norm and the MSE to the boolean-mask and ``np.diff`` formulas they replaced.
+Chambolle loop it replaced, the flat-index sampling operators, the TV
+norm and the MSE to the boolean-mask and ``np.diff`` formulas they replaced,
+and the in-place real soft threshold to ``v - clip(v, -tau, tau)``.
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from ballast import (
     UndecimatedHaar,
     mse,
     project_ball,
+    soft_threshold,
     tv_norm,
     tv_prox,
 )
@@ -371,3 +373,24 @@ def test_mse_matches_mean_abs_square_bitwise(h, w, is_complex, layout, seed):
     a = laid_out(rng, (h, w), dtype, layout)
     b = random_element(rng, (h, w), dtype)
     assert mse(a, b) == float(np.mean(np.abs(a - b) ** 2))
+
+
+@PROPERTY
+@given(st.integers(1, 17), st.integers(1, 17),
+       st.sampled_from([np.float64, np.float32, np.int64, np.int32]), layouts,
+       st.sampled_from([0.0, 0.25, 1.0, 2.5, 3]), seeds)
+def test_real_soft_threshold_matches_clip_formula_bitwise(h, w, dtype, layout, tau, seed):
+    rng = np.random.default_rng(seed)
+    x = 3.0 * laid_out(rng, (h, w), np.float64, layout)
+    for special in (np.inf, -np.inf, np.nan, -0.0, 0.0, tau, -tau):
+        x[rng.integers(h), rng.integers(w)] = special
+    if np.issubdtype(dtype, np.integer):
+        x = np.nan_to_num(np.round(x), posinf=7, neginf=-7)
+    x = x.astype(dtype, copy=False)
+    # the writable result of np.clip is reused for a 2-D, 1-D or 1-element
+    # array; a 0-d input takes the scalar path
+    for v in (x, np.ravel(x), x[:1, :1], np.array(x[0, 0])):
+        got = soft_threshold(v, tau)
+        want = v - np.clip(v, -tau, tau)
+        assert type(got) is type(want)
+        assert_same_bits(got, want)

@@ -1,5 +1,7 @@
 """Solver engine tests: step algebra, analytic fixed points, invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,10 +25,12 @@ import ballast.solver
 from ballast.prox import BallConstraint, l2_norm
 from ballast.solver import CONTINUE, CONVERGED, EXHAUSTED, IterationRecord
 from ballast.harness import (
+    build_experiment,
     deblur_instance,
     fourier_phantom_instance,
     inpainting_instance,
     mse,
+    run_experiment,
 )
 
 
@@ -124,6 +128,63 @@ def test_dual_update_identity_recomputes_bitwise(rng):
             np.testing.assert_allclose(
                 state.d[j] - d_old[j], state.v[j] - relaxed, atol=1e-12
             )
+
+
+class ViewPenalty:
+    """A stub prox that returns its input, or a view of it."""
+
+    def __init__(self, view):
+        self.view = view
+
+    def prox(self, v, tau, carry=None):
+        return self.view(v)
+
+
+@pytest.mark.parametrize("view", [lambda v: v, lambda v: v[...], lambda v: v[::-1]],
+                         ids=["itself", "view", "reversed"])
+@pytest.mark.parametrize("formulation", ["direct", "synthesis"])
+def test_dual_update_is_fresh_when_the_prox_returns_its_input(view, formulation):
+    # the dual is written into the prox input w only when the prox output
+    # shares no memory with it; otherwise v[0] would be overwritten
+    inst = deblur_instance("uniform", 0.56, size=16, seed=3)
+    op = inst.operator
+    ball = BallConstraint(inst.observation, inst.epsilon)
+    frame, state = None, zero_state(op)
+    if formulation == "synthesis":
+        frame = UndecimatedHaar(op.in_shape, levels=2)
+        state = zero_state(op, (frame.coefficient_length,))
+    alpha = ballast.solver.RELAXATION
+    for _ in range(4):
+        v_old, d_old = state.v[0].copy(), state.d[0].copy()
+        step(state, op, ball, ViewPenalty(view), 0.7, formulation, frame)
+        hu = state.hu[0]
+        w = hu - v_old
+        w *= alpha - 1.0
+        w += hu
+        w -= d_old
+        np.testing.assert_array_equal(state.v[0], view(w))
+        np.testing.assert_array_equal(state.d[0], view(w) - w)
+
+
+@pytest.mark.parametrize("name", ["deblur-uniform-syn", "deblur-uniform-ana"])
+def test_frame_solve_peak_memory_is_about_six_coefficient_arrays(name):
+    # one step holds the last iterate's hu[0], v[0] and d[0], the new hu[0],
+    # the prox input and the prox output; images and boolean finiteness
+    # masks add under one more coefficient array at 64^2
+    setup = build_experiment(name, size=64)  # built outside tracing
+    coefficient_bytes = setup.frame.coefficient_length * 8
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_experiment(setup, counting=False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 7.25 * coefficient_bytes, peak / coefficient_bytes
 
 
 def test_feasibility_block_stays_in_ball_every_iteration():

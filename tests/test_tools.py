@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -39,6 +40,9 @@ def test_tune_mu_runs_one_experiment():
 def test_bench_writes_catalog_and_sweep(tmp_path, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(TOOLS))  # bench imports git_sha from microbench
     bench = load_tool("bench")
+    monkeypatch.setattr(bench, "REPEAT", 1)  # one timed solve per run is enough here
+    # loading perfbench/run.py for its SpeedProbe sets this; restore it afterwards
+    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
     out = tmp_path / "bench.json"
     assert bench.main(["--size", "16", "--no-perfbench", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
@@ -50,5 +54,9 @@ def test_bench_writes_catalog_and_sweep(tmp_path, monkeypatch, capsys):
         for run in runs.values():
             assert 1 <= run["iterations"] and run["wall_s"] > 0 and run["ms_per_iter"] > 0
             assert run["rel_error"] > 0 and run["status"] in ("converged", "exhausted")
+            assert run["kernel_ms"] > 0 and run["peak_mem_mb"] > 0
+    # the traced peak grows with the image: a 64^2 solve holds more than a 16^2 one
+    sweep = data["sweep"]["deblur-uniform-tv"]
+    assert sweep["64"]["peak_mem_mb"] > sweep["16"]["peak_mem_mb"]
     assert all(set(by_size) == {"16", "32", "64"} for by_size in data["sweep"].values())
     assert data["perfbench"] == {}

@@ -6,14 +6,21 @@ The file holds:
   checkout;
 - ``catalog``: each of the 18 catalog runs at ``--size``, with its
   iterations, wall seconds (fastest of ``REPEAT`` solves), ms per iteration,
-  relative error and status;
+  relative error, status, ``kernel_ms`` and ``peak_mem_mb``;
 - ``sweep``: ``deblur-uniform-tv``, ``mri`` and ``inpaint`` at 1x, 2x and 4x
-  ``--size`` (128, 256 and 512 by default), with iterations and ms per
-  iteration reported apart, since algorithmic changes trade one for the
-  other;
+  ``--size`` (128, 256 and 512 by default), with the same fields;
+  iterations and ms per iteration are reported apart, since algorithmic
+  changes trade one for the other;
 - ``perfbench``: the final JSON line of ``perfbench/run.py --trace 0`` and
   ``--trace 1`` on each of its four workloads, at its default seed and run
   length.
+
+Wall times are raw.  ``kernel_ms`` is the median time of ``perfbench``'s
+fixed reference kernel (``SpeedProbe.kernel``), timed before the first solve
+and after each one: it tracks the host's speed while the run was timed, so
+``wall_s / kernel_ms`` compares across ``BENCH_<n>.json`` files where
+``wall_s`` alone moves with the shared host.  ``peak_mem_mb`` is the
+``tracemalloc`` peak of one more, untimed solve (built outside tracing).
 
 Solves run one at a time in this process, and the ``perfbench`` runs one at
 a time in subprocesses, so nothing else of this tool competes for a core.
@@ -25,13 +32,16 @@ Usage (from the repository root):
 """
 
 import argparse
+import importlib.util
 import itertools
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,22 +53,58 @@ ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 3  # solves per run; the fastest gives the wall time
 SWEEP = ("deblur-uniform-tv", "mri", "inpaint")  # one run per problem family
 WORKLOADS = ("deblur-tv", "deblur-syn-256", "mri", "inpaint-256")
+KERNEL_CALLS = 3  # reference kernel timings before the first solve and after each
 
 
-def timed_run(name, size):
-    """Iterations, fastest wall s, ms/iter, relative error and status of one run."""
+def load_speed_probe():
+    """``perfbench/run.py``'s ``SpeedProbe``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SpeedProbe
+
+
+def kernel_times(probe):
+    """``KERNEL_CALLS`` wall times of the reference kernel, in seconds."""
+    times = []
+    for _ in range(KERNEL_CALLS):
+        t0 = time.perf_counter()
+        probe.kernel()
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def peak_mem_mb(name, size):
+    """``tracemalloc`` peak MiB of one solve, built outside tracing."""
+    setup = build_experiment(name, size=size)
+    tracemalloc.start()
+    try:
+        run_experiment(setup, counting=False)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def timed_run(name, size, probe):
+    """Iterations, fastest wall s, ms/iter, relative error, status, the
+    reference kernel's median ms and the peak traced MiB of one run."""
     best = float("inf")
+    kernel = kernel_times(probe)
     for _ in range(REPEAT):
         setup = build_experiment(name, size=size)
         t0 = time.perf_counter()
         report = run_experiment(setup, counting=False)
         best = min(best, time.perf_counter() - t0)
+        kernel += kernel_times(probe)
     return {
         "iterations": report.iterations,
         "wall_s": round(best, 4),
         "ms_per_iter": round(1e3 * best / report.iterations, 4),
         "rel_error": report.relative_error,
         "status": report.status,
+        "kernel_ms": round(1e3 * statistics.median(kernel), 4),
+        "peak_mem_mb": round(peak_mem_mb(name, size), 4),
     }
 
 
@@ -87,12 +133,13 @@ def main(argv=None):
     if out is None:
         n = next(n for n in itertools.count(1) if not (ROOT / f"BENCH_{n}.json").exists())
         out = ROOT / f"BENCH_{n}.json"
+    probe = load_speed_probe()()
     bench = {
         "meta": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "numpy": np.__version__, "git_sha": git_sha(), "repeat": REPEAT,
                  "size": args.size},
-        "catalog": {name: timed_run(name, args.size) for name in experiment_names()},
-        "sweep": {name: {str(size): timed_run(name, size)
+        "catalog": {name: timed_run(name, args.size, probe) for name in experiment_names()},
+        "sweep": {name: {str(size): timed_run(name, size, probe)
                          for size in (args.size, 2 * args.size, 4 * args.size)}
                   for name in SWEEP},
         "perfbench": {} if args.no_perfbench else {
