@@ -121,17 +121,20 @@ class UndecimatedHaar:
         bands = np.empty((3 * self.levels + 1,) + self.image_shape, dtype=a.dtype)
         lo0 = np.empty_like(bands[0])
         hi0 = np.empty_like(bands[0])
-        # the approximation goes to band 0 at every level: each level reads
-        # it only to form lo0/hi0, before overwriting it
+        # each level's two 1/2 stages are one 1/4 on its input, and the
+        # approximation goes to band 0 at every level: each level reads it
+        # only to form lo0/hi0, before overwriting it
+        np.multiply(a, 0.25, out=bands[0])
         for level in range(self.levels):
             gap = 1 << level
-            _half_pair(np.add, a, gap, 0, lo0)
-            _half_pair(np.subtract, a, gap, 0, hi0)
-            _half_pair(np.add, lo0, gap, 1, bands[0])
-            _half_pair(np.subtract, lo0, gap, 1, bands[1 + 3 * level])
-            _half_pair(np.add, hi0, gap, 1, bands[2 + 3 * level])
-            _half_pair(np.subtract, hi0, gap, 1, bands[3 + 3 * level])
-            a = bands[0]
+            if level:
+                bands[0] *= 0.25
+            _pair(np.add, bands[0], gap, 0, lo0)
+            _pair(np.subtract, bands[0], gap, 0, hi0)
+            _pair(np.add, lo0, gap, 1, bands[0])
+            _pair(np.subtract, lo0, gap, 1, bands[1 + 3 * level])
+            _pair(np.add, hi0, gap, 1, bands[2 + 3 * level])
+            _pair(np.subtract, hi0, gap, 1, bands[3 + 3 * level])
         return bands.reshape(-1)
 
     def synthesis(self, coefficients):
@@ -146,33 +149,52 @@ class UndecimatedHaar:
         bands = coefficients.astype(dtype, copy=False).reshape(3 * self.levels + 1, h, w)
         lo0, hi0, term, image = (np.empty((h, w), dtype=dtype) for _ in range(4))
         a = bands[0]
-        # adjoint of each analysis branch, accumulated from the coarsest level in
+        # adjoint of each analysis branch, accumulated from the coarsest level
+        # in, with the level's two 1/2 stages applied as one 1/4 on its sum
         for level in range(self.levels - 1, -1, -1):
             gap = 1 << level
-            _half_pair(np.add, a, -gap, 1, lo0)
-            _half_pair(np.subtract, bands[1 + 3 * level], -gap, 1, term)
+            _pair(np.add, a, -gap, 1, lo0)
+            _pair(np.subtract, bands[1 + 3 * level], -gap, 1, term)
             lo0 += term
-            _half_pair(np.add, bands[2 + 3 * level], -gap, 1, hi0)
-            _half_pair(np.subtract, bands[3 + 3 * level], -gap, 1, term)
+            _pair(np.add, bands[2 + 3 * level], -gap, 1, hi0)
+            _pair(np.subtract, bands[3 + 3 * level], -gap, 1, term)
             hi0 += term
-            _half_pair(np.add, lo0, -gap, 0, image)
-            _half_pair(np.subtract, hi0, -gap, 0, term)
+            _pair(np.add, lo0, -gap, 0, image)
+            _pair(np.subtract, hi0, -gap, 0, term)
             image += term
+            image *= 0.25
             a = image
         return image
 
 
-def _half_pair(ufunc, a, shift, axis, out):
-    """``out = ufunc(a, a shifted periodically by -shift along axis) / 2``.
+def _pair(ufunc, a, shift, axis, out):
+    """``out = ufunc(a, a shifted periodically by -shift along axis)``.
 
-    ``out[i] = (a[i] +/- a[(i + shift) % n]) / 2`` along ``axis``, from two
-    slice operations and no shifted copy of ``a``.  ``a`` and ``out`` must
-    not overlap.
+    ``out[i] = a[i] +/- a[(i + shift) % n]`` along ``axis``, from slices and
+    no shifted copy of ``a``; ``a`` and ``out`` must not overlap, and ``out``
+    must be C-contiguous.  The Haar stages' factor 1/2 is left to the callers,
+    which apply one 1/4 per level: a power-of-two scale commutes with
+    rounding, so the bits are those of halving each pair, except where a value
+    or a partial sum is subnormal or overflows.
+
+    Along rows, one ufunc over the flattened arrays pairs each element with
+    the one ``s`` places on (for ``s`` past half a row, the one ``n - s``
+    places back), and the columns whose partner wraps round the row are then
+    redone from strided slices.  NumPy would walk a transposed view one short
+    row at a time, at about twice the cost.
     """
-    if axis:
-        a, out = a.T, out.T
-    n = a.shape[0]
+    n = a.shape[axis]
     s = shift % n
-    ufunc(a[: n - s], a[s:], out=out[: n - s])
-    ufunc(a[n - s:], a[:s], out=out[n - s:])
-    out *= 0.5
+    if axis == 0:
+        ufunc(a[: n - s], a[s:], out=out[: n - s])
+        ufunc(a[n - s:], a[:s], out=out[n - s:])
+        return
+    af, of = a.reshape(-1), out.reshape(-1)
+    size = af.size
+    if 2 * s <= n:
+        ufunc(af[: size - s], af[s:], out=of[: size - s])
+        ufunc(a[:, n - s:], a[:, :s], out=out[:, n - s:])
+    else:
+        g = n - s
+        ufunc(af[g:], af[: size - g], out=of[g:])
+        ufunc(a[:, :g], a[:, s:], out=out[:, :g])

@@ -48,7 +48,8 @@ FEASIBILITY_SLACK = 0.01
 # Over-relaxation factor alpha of each step: the proxes and dual updates see
 # H u + (alpha - 1)(H u - v) in place of H u.  ADMM converges for any alpha in
 # (0, 2) (Eckstein & Bertsekas 1992); 1.5 cuts the catalog's iterations by
-# about 18%, while 1.8 breaks the deblurring family's monotone objective.
+# about 18%, while 1.8 breaks the deblurring family's monotone objective.  The
+# synthesis step's prox input uses an identity that holds at 1.5 only.
 RELAXATION = 1.5
 
 
@@ -186,7 +187,9 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
 
     In the synthesis and analysis formulations at most six coefficient-sized
     arrays are alive at once: the last iterate's ``hu[0]``, ``v[0]`` and
-    ``d[0]``, and the new ``hu[0]``, the prox input and the prox output.
+    ``d[0]``, and the new ``hu[0]``, the prox input and the prox output.  In
+    the synthesis formulation the prox input lives in the array of the
+    u-update's correction ``W^H (x - W s)``, which it no longer needs.
     """
     d0, d1 = state.d
     if formulation == "synthesis":
@@ -198,7 +201,6 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
         x = op.shifted_normal_inverse(ws + op.adjoint(state.v[1] + d1))
         correction = frame.analysis(x - ws)
         u = np.add(u, correction, out=u if u.dtype == correction.dtype else None)
-        del correction  # a coefficient-sized temporary: free it before the prox
         hu0 = u
     elif formulation == "analysis":
         x = u = op.shifted_normal_inverse(
@@ -209,7 +211,17 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
         hu0 = u
     if not np.all(np.isfinite(x)):
         raise DivergenceError(f"non-finite u at iteration {state.k + 1}", state=state)
-    w0 = _relaxed_prox_input(hu0, state.v[0], d0)
+    if formulation == "synthesis":
+        # the prox input u + (RELAXATION - 1)(u - v0) - d0, with u - v0 =
+        # d0 + correction and RELAXATION - 2 = -(RELAXATION - 1) at 1.5, is
+        # u + (RELAXATION - 1)(correction - d0): formed in the correction
+        # array, which is dead by now, unless it cannot hold u's dtype
+        w0 = np.subtract(correction, d0,
+                         out=correction if u.dtype == correction.dtype else None)
+        w0 *= RELAXATION - 1.0
+        w0 += u
+    else:
+        w0 = _relaxed_prox_input(hu0, state.v[0], d0)
     v0 = penalty.prox(w0, 1.0 / mu, state.carry)
     if not np.all(np.isfinite(v0)):
         raise DivergenceError(f"non-finite v[0] at iteration {state.k + 1}", state=state)

@@ -15,7 +15,7 @@ and the in-place real soft threshold to ``v - clip(v, -tau, tau)``.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ballast import (
@@ -186,7 +186,7 @@ def test_frame_round_trip_and_energy(case):
 
 def roll_haar_analysis(frame, x):
     """The undecimated Haar analysis written with ``np.roll``, as a reference."""
-    a = x.astype(np.float64)
+    a = x.astype(np.promote_types(x.dtype, np.float64))
     details = []
     for level in range(frame.levels):
         gap = 1 << level
@@ -213,13 +213,22 @@ def roll_haar_synthesis(frame, coefficients):
 
 
 @PROPERTY
-@given(sides, sides, st.integers(1, 4), seeds)
-def test_undecimated_haar_matches_roll_reference_bitwise(h, w, levels, seed):
-    # levels up to 4 on sides down to 3 include gaps of 2^level >= side
+@given(sides, sides, st.integers(1, 5), st.booleans(), st.booleans(), seeds)
+@example(h=256, w=256, levels=4, is_complex=False, reverse=False, seed=0)
+def test_undecimated_haar_matches_roll_reference_bitwise(h, w, levels, is_complex, reverse,
+                                                         seed):
+    # levels up to 5 on sides down to 3 include gaps of 2^level >= side.  Row
+    # pairs run on the flattened arrays and redo the wrapped columns: the last
+    # ones for shifts up to half a row (analysis at 256^2), the first ones
+    # past it (synthesis at 256^2, whose shifts are negative).  Reversed
+    # strides reach both transforms as negative-stride views.
     frame = UndecimatedHaar((h, w), levels=levels)
     rng = np.random.default_rng(seed)
-    x = random_element(rng, (h, w))
-    c = random_element(rng, (frame.coefficient_length,))
+    dtype = np.complex128 if is_complex else np.float64
+    x = random_element(rng, (h, w), dtype)
+    c = random_element(rng, (frame.coefficient_length,), dtype)
+    if reverse:
+        x, c = x[::-1, ::-1], c[::-1]
     np.testing.assert_array_equal(frame.analysis(x), roll_haar_analysis(frame, x))
     np.testing.assert_array_equal(frame.synthesis(c), roll_haar_synthesis(frame, c))
 

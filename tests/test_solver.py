@@ -101,42 +101,72 @@ def test_single_identity_block_step_reproduces_input():
     assert state.k == 1
 
 
-def test_dual_update_identity_recomputes_bitwise(rng):
+def relaxed_prox_input(hu, v, d):
+    """``(Hu - v)(alpha - 1) + Hu - d``, pass by pass as the solver forms it."""
+    w = hu - v
+    w *= ballast.solver.RELAXATION - 1.0
+    w += hu
+    w -= d
+    return w
+
+
+def test_dual_update_identity_recomputes_bitwise():
     # the prox input w = (Hu - v)(alpha - 1) + Hu - d uses the split variable
-    # v and the dual d from before the step, and the dual update is v_new - w
+    # v and the dual d from before the step, and the dual update is v_new - w;
+    # the synthesis formulation forms its penalty block's w from the
+    # u-update's correction c = W^H (x - W s), s = v + d, as (c - d)(alpha - 1)
+    # + u, which is the same point since u - v = d + c
     inst = deblur_instance("uniform", 0.56, size=16, seed=3)
     op = inst.operator
     ball = BallConstraint(inst.observation, inst.epsilon)
-    state = zero_state(op)
     alpha = ballast.solver.RELAXATION
-    for _ in range(6):
-        v_old = [vj.copy() for vj in state.v]
-        d_old = [dj.copy() for dj in state.d]
-        step(state, op, ball, L1Norm(), mu=0.7)
-        for j, forward in enumerate((lambda x: x, op.forward)):
-            hu = forward(state.u)  # fresh recomputation
-            np.testing.assert_array_equal(state.hu[j], hu)
-            w = hu - v_old[j]
-            w *= alpha - 1.0
-            w += hu
-            w -= d_old[j]
-            np.testing.assert_array_equal(state.d[j], state.v[j] - w)
-            # the mathematical identity d_new - d_old = v_new - H^u, with H^u
-            # the relaxed point, holds to rounding even though float addition
-            # is not associative
-            relaxed = alpha * hu + (1.0 - alpha) * v_old[j]
-            np.testing.assert_allclose(
-                state.d[j] - d_old[j], state.v[j] - relaxed, atol=1e-12
-            )
+    for formulation in ("direct", "synthesis"):
+        frame, state = None, zero_state(op)
+        if formulation == "synthesis":
+            frame = UndecimatedHaar(op.in_shape, levels=2)
+            state = zero_state(op, (frame.coefficient_length,))
+        for _ in range(6):
+            v_old = [vj.copy() for vj in state.v]
+            d_old = [dj.copy() for dj in state.d]
+            step(state, op, ball, L1Norm(), 0.7, formulation, frame)
+            # fresh recomputation of each block's Hu and prox input
+            if formulation == "synthesis":
+                s = v_old[0] + d_old[0]
+                ws = frame.synthesis(s)
+                x = op.shifted_normal_inverse(ws + op.adjoint(v_old[1] + d_old[1]))
+                correction = frame.analysis(x - ws)
+                hu0 = s + correction
+                w0 = correction - d_old[0]
+                w0 *= alpha - 1.0
+                w0 += hu0
+            else:
+                x = hu0 = state.u
+                w0 = relaxed_prox_input(hu0, v_old[0], d_old[0])
+            np.testing.assert_array_equal(state.x, x)
+            hu1 = op.forward(x)
+            w1 = relaxed_prox_input(hu1, v_old[1], d_old[1])
+            for j, (hu, w) in enumerate([(hu0, w0), (hu1, w1)]):
+                np.testing.assert_array_equal(state.hu[j], hu)
+                np.testing.assert_array_equal(state.d[j], state.v[j] - w)
+                # the mathematical identity d_new - d_old = v_new - H^u, with
+                # H^u the relaxed point, holds to rounding even though float
+                # addition is not associative
+                relaxed = alpha * hu + (1.0 - alpha) * v_old[j]
+                np.testing.assert_allclose(
+                    state.d[j] - d_old[j], state.v[j] - relaxed, atol=1e-12
+                )
 
 
 class ViewPenalty:
-    """A stub prox that returns its input, or a view of it."""
+    """A stub prox that returns its input, or a view of it, and keeps a copy
+    of the input it received."""
 
     def __init__(self, view):
         self.view = view
+        self.received = None
 
     def prox(self, v, tau, carry=None):
+        self.received = v.copy()
         return self.view(v)
 
 
@@ -153,15 +183,10 @@ def test_dual_update_is_fresh_when_the_prox_returns_its_input(view, formulation)
     if formulation == "synthesis":
         frame = UndecimatedHaar(op.in_shape, levels=2)
         state = zero_state(op, (frame.coefficient_length,))
-    alpha = ballast.solver.RELAXATION
+    penalty = ViewPenalty(view)
     for _ in range(4):
-        v_old, d_old = state.v[0].copy(), state.d[0].copy()
-        step(state, op, ball, ViewPenalty(view), 0.7, formulation, frame)
-        hu = state.hu[0]
-        w = hu - v_old
-        w *= alpha - 1.0
-        w += hu
-        w -= d_old
+        step(state, op, ball, penalty, 0.7, formulation, frame)
+        w = penalty.received
         np.testing.assert_array_equal(state.v[0], view(w))
         np.testing.assert_array_equal(state.d[0], view(w) - w)
 

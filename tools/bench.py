@@ -6,7 +6,7 @@ The file holds:
   checkout;
 - ``catalog``: each of the 18 catalog runs at ``--size``, with its
   iterations, wall seconds (fastest of ``REPEAT`` solves), ms per iteration,
-  relative error, status, ``kernel_ms`` and ``peak_mem_mb``;
+  relative error, status, ``digest``, ``kernel_ms`` and ``peak_mem_mb``;
 - ``sweep``: ``deblur-uniform-tv``, ``mri`` and ``inpaint`` at 1x, 2x and 4x
   ``--size`` (128, 256 and 512 by default), with the same fields;
   iterations and ms per iteration are reported apart, since algorithmic
@@ -21,6 +21,8 @@ and after each one: it tracks the host's speed while the run was timed, so
 ``wall_s / kernel_ms`` compares across ``BENCH_<n>.json`` files where
 ``wall_s`` alone moves with the shared host.  ``peak_mem_mb`` is the
 ``tracemalloc`` peak of one more, untimed solve (built outside tracing).
+``digest`` is the first 16 hex digits of the sha256 of the estimate's bytes,
+so two files show which runs changed bits.
 
 Solves run one at a time in this process, and the ``perfbench`` runs one at
 a time in subprocesses, so nothing else of this tool competes for a core.
@@ -32,6 +34,7 @@ Usage (from the repository root):
 """
 
 import argparse
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -88,7 +91,8 @@ def peak_mem_mb(name, size):
 
 def timed_run(name, size, probe):
     """Iterations, fastest wall s, ms/iter, relative error, status, the
-    reference kernel's median ms and the peak traced MiB of one run."""
+    estimate's digest, the reference kernel's median ms and the peak traced
+    MiB of one run."""
     best = float("inf")
     kernel = kernel_times(probe)
     for _ in range(REPEAT):
@@ -103,6 +107,7 @@ def timed_run(name, size, probe):
         "ms_per_iter": round(1e3 * best / report.iterations, 4),
         "rel_error": report.relative_error,
         "status": report.status,
+        "digest": hashlib.sha256(report.estimate.tobytes()).hexdigest()[:16],
         "kernel_ms": round(1e3 * statistics.median(kernel), 4),
         "peak_mem_mb": round(peak_mem_mb(name, size), 4),
     }
