@@ -115,7 +115,7 @@ def test_dual_update_identity_recomputes_bitwise():
     # v and the dual d from before the step, and the dual update is v_new - w;
     # the synthesis formulation forms its penalty block's w from the
     # u-update's correction c = W^H (x - W s), s = v + d, as (c - d)(alpha - 1)
-    # + u, which is the same point since u - v = d + c
+    # + u, which is the same point at alpha = 1.5, since u - v = d + c
     inst = deblur_instance("uniform", 0.56, size=16, seed=3)
     op = inst.operator
     ball = BallConstraint(inst.observation, inst.epsilon)
