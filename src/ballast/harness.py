@@ -382,9 +382,13 @@ RUN_KNOBS = {
     "kernel": (str, "override the blur kernel family (deblur runs)"),
 }
 
-# Per-run solver settings: (penalty weight mu, iteration budget), hand-tuned
-# for fastest convergence at the default 128x128 size (tools/tune_mu.py
-# reproduces the sweep).  Every run stops on SolverConfig's one rel_tol.
+# Per-run solver settings: (penalty weight mu, iteration budget).  mu was
+# hand-tuned at the default 128x128 size for an earlier solver: relaxation 1
+# and a cold-started 10-step TV prox, not today's over-relaxed step and warm
+# prox, and it has not been retuned since (tools/tune_mu.py sweeps today's
+# solver).  A budget is 3x the reference iteration count of acceptance
+# criterion 8 for the deblurring runs, and the bound of criteria 5-7 for the
+# others.  Every run stops on SolverConfig's one rel_tol.
 _SETTINGS = {
     "deblur-uniform-syn": (2.0, 402),
     "deblur-gauss-lo-syn": (1.0, 408),

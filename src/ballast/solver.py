@@ -19,12 +19,13 @@ unknown itself, which is the image (``"direct"``) or its frame coefficients
 (``"analysis"``).
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prox import BallConstraint, l2_norm, mse, project_ball
+from .prox import BallConstraint, l2_distance, l2_norm, mse, project_ball
 
 __all__ = [
     "SolverConfig",
@@ -86,14 +87,16 @@ class SolverConfig:
     record_history: bool = True
 
     def __post_init__(self):
-        if not (self.mu > 0):
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if not (self.epsilon >= 0):
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        # finite too: at mu, epsilon or rel_tol = inf a run can report
+        # convergence without having solved the problem
+        if not (0 < self.mu < math.inf):
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not (0 <= self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (self.rel_tol >= 0):
-            raise ValueError(f"rel_tol must be nonnegative, got {self.rel_tol}")
+        if not (0 <= self.rel_tol < math.inf):
+            raise ValueError(f"rel_tol must be nonnegative and finite, got {self.rel_tol}")
         if self.warm_start not in ("zero", "adjoint", "observation"):
             raise ValueError(f"unknown warm_start mode {self.warm_start!r}")
 
@@ -334,8 +337,8 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
         finite = np.isfinite(constraint)
         if config.record_history:
             objective = penalty.evaluate(hu0)
-            primal = float(np.sqrt(l2_norm(hu0 - state.v[0]) ** 2
-                                   + l2_norm(hu1 - state.v[1]) ** 2))
+            primal = float(np.sqrt(l2_distance(hu0, state.v[0]) ** 2
+                                   + l2_distance(hu1, state.v[1]) ** 2))
             finite = finite and np.isfinite(objective) and np.isfinite(primal)
             if truth is not None:
                 error = mse(state.x, truth)

@@ -128,6 +128,8 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, experiment):
                   id="--kernel-gaussian-'kernel'"),
      pytest.param("mri", "--size", "8", "'size'", id="mri---size-8-'size'"),
      pytest.param("inpaint", "--epsilon", "nan", "epsilon", id="--epsilon-nan-epsilon"),
+     pytest.param("inpaint", "--epsilon", "inf", "epsilon", id="--epsilon-inf-epsilon"),
+     pytest.param("inpaint", "--mu", "inf", "mu", id="--mu-inf-mu"),
      pytest.param("inpaint", "--sigma", "nan", "sigma", id="--sigma-nan-sigma")],
 )
 def test_out_of_range_or_inapplicable_knob_is_usage_error(tmp_path, capsys, experiment,

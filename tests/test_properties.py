@@ -11,16 +11,23 @@ pinned bit for bit to an ``np.roll`` reference, the real-FFT convolution
 to a full complex-FFT reference, the TV prox to the straightforward 2-D
 Chambolle loop it replaced, the flat-index sampling operators, the TV
 norm and the MSE to the boolean-mask and ``np.diff`` formulas they replaced,
-and the in-place real soft threshold to ``v - clip(v, -tau, tau)``.
+and the in-place real soft threshold to ``v - clip(v, -tau, tau)``.  The
+record's block reductions (``l2_distance``, ``L1Norm.evaluate``) are checked
+against one-array sums across block boundaries, and for the memory they
+allocate.
 """
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ballast import (
     BallConstraint,
     CircularConvolution,
+    L1Norm,
     OrthogonalHaar,
     PartialFourier,
     PixelMask,
@@ -33,6 +40,7 @@ from ballast import (
     tv_norm,
     tv_prox,
 )
+from ballast.prox import BLOCK, l2_distance, l2_norm
 
 # derandomized and without an example database: reruns draw the same cases
 PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=50)
@@ -366,12 +374,64 @@ def diff_tv_norm(x):
        layouts, seeds)
 def test_tv_norm_matches_diff_formula_bitwise(h, w, dtype, layout, seed):
     rng = np.random.default_rng(seed)
-    for shape in [(h, w), (2, w), (h, 2)]:
+    # tv_norm takes flat shifted differences and zeroes the entries that wrap
+    # a row end; two-row and two-column images have the most edge entries
+    for shape in [(h, w), (2, w), (h, 2), (2, 2)]:
         x = laid_out(rng, shape, np.float64, layout).astype(dtype, copy=False)
         # np.diff's result sums in memory order, so a transposed view is pinned
         # to its C-ordered copy (tv_norm gives the same bits for every layout);
         # float32 input keeps float32 arithmetic on both sides
         assert tv_norm(x) == diff_tv_norm(np.ascontiguousarray(x))
+
+
+def assert_close(got, want, rel=1e-12):
+    assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 13 * 64**2])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128])
+def test_block_reductions_match_one_array_sums(n, dtype):
+    rng = np.random.default_rng(n)
+    a = random_element(rng, (n,), dtype).astype(dtype)
+    b = random_element(rng, (n,), dtype).astype(dtype)
+    # both reductions work in float64, so float32 input is pinned to the
+    # float64 sums of the same values
+    wide = np.result_type(dtype, np.float64)
+    wide_a, wide_b = a.astype(wide), b.astype(wide)
+    assert_close(L1Norm().evaluate(a), float(np.sum(np.abs(wide_a))))
+    assert_close(l2_distance(a, b), l2_norm(wide_a - wide_b))
+    # a real and a complex operand
+    assert_close(l2_distance(wide_a.real, wide_b), l2_norm(wide_a.real - wide_b))
+
+
+@pytest.mark.parametrize("layout", ["transposed", "strided"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_block_reductions_read_views(layout, dtype):
+    rng = np.random.default_rng(7)
+    shape = (13 * 64, 64)  # 53,248 elements: two blocks, the second partial
+    a = laid_out(rng, shape, dtype, layout)
+    b = random_element(rng, shape, dtype)
+    assert_close(L1Norm().evaluate(a), float(np.sum(np.abs(a))))
+    assert_close(l2_distance(a, b), l2_norm(a - b))
+    assert_close(l2_distance(b, a), l2_norm(b - a))
+
+
+def test_block_reductions_allocate_under_a_quarter_coefficient_array():
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((2, 13 * 128**2))  # UndecimatedHaar(4) at 128^2
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for reduce in (lambda: L1Norm().evaluate(a), lambda: l2_distance(a, b)):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            reduce()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak < a.nbytes / 4, peak / a.nbytes
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 @PROPERTY

@@ -570,6 +570,14 @@ def test_config_validation():
             SolverConfig(rel_tol=tol)
 
 
+@pytest.mark.parametrize("knob", ["mu", "epsilon", "rel_tol"])
+def test_config_rejects_infinite_settings(knob):
+    # at mu = inf an inpaint run reported "converged" after 2 iterations with
+    # ISNR 0 dB; epsilon = inf reached summary.json as Infinity
+    with pytest.raises(ValueError, match=f"{knob} must be .* finite"):
+        SolverConfig(**{knob: float("inf")})
+
+
 def test_divergence_error_carries_history():
     poison_after = 3
     op = PixelMask(np.ones((2, 2), dtype=bool))

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -20,9 +21,10 @@ def test_microbench_prints_one_json_line_per_primitive(capsys):
     assert microbench.main(["--sizes", "16", "--repeat", "1"]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     names = [line["primitive"] for line in lines]
-    assert len(names) == len(set(names)) == 16  # 3 operators x 3 maps + 7
+    assert len(names) == len(set(names)) == 17  # 3 operators x 3 maps + 8
     assert {"tv_prox", "soft_threshold", "project_ball", "haar.analysis", "haar.synthesis",
-            "fourier.shifted_normal_inverse", "tv_norm", "l1.evaluate"} <= set(names)
+            "fourier.shifted_normal_inverse", "tv_norm", "l1.evaluate",
+            "record.primal"} <= set(names)
     for line in lines:
         assert set(line["min_ms"]) == {"16"} and line["min_ms"]["16"] > 0
         assert line["repeat"] == 1 and line["nproc"] >= 1
@@ -43,8 +45,16 @@ def test_bench_writes_catalog_and_sweep(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench, "REPEAT", 1)  # one timed solve per run is enough here
     # loading perfbench/run.py for its SpeedProbe sets this; restore it afterwards
     monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
+    run = subprocess.run
+
+    def fake_perfbench(argv, **kwargs):  # the eight real perfbench runs take minutes
+        if "perfbench" not in " ".join(map(str, argv)):
+            return run(argv, **kwargs)
+        return subprocess.CompletedProcess(argv, 0, '{"correct": true, "metrics": {}}\n', "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_perfbench)
     out = tmp_path / "bench.json"
-    assert bench.main(["--size", "16", "--no-perfbench", "--out", str(out)]) == 0
+    assert bench.main(["--size", "16", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     data = json.loads(out.read_text())
     assert data["meta"]["nproc"] >= 1 and data["meta"]["numpy"] and data["meta"]["git_sha"]
@@ -63,4 +73,7 @@ def test_bench_writes_catalog_and_sweep(tmp_path, monkeypatch, capsys):
     sweep = data["sweep"]["deblur-uniform-tv"]
     assert sweep["64"]["peak_mem_mb"] > sweep["16"]["peak_mem_mb"]
     assert all(set(by_size) == {"16", "32", "64"} for by_size in data["sweep"].values())
-    assert data["perfbench"] == {}
+    # each perfbench entry carries the host speed around its subprocess
+    assert len(data["perfbench"]) == 8
+    for entry in data["perfbench"].values():
+        assert entry["correct"] and entry["kernel_ms"] > 0

@@ -13,13 +13,15 @@ The file holds:
   changes trade one for the other;
 - ``perfbench``: the final JSON line of ``perfbench/run.py --trace 0`` and
   ``--trace 1`` on each of its four workloads, at its default seed and run
-  length.
+  length, and its ``kernel_ms``.
 
 Wall times are raw.  ``kernel_ms`` is the median time of ``perfbench``'s
 fixed reference kernel (``SpeedProbe.kernel``), timed before the first solve
-and after each one: it tracks the host's speed while the run was timed, so
+and after each one (for a ``perfbench`` entry: before and after its
+subprocess): it tracks the host's speed while the run was timed, so
 ``wall_s / kernel_ms`` compares across ``BENCH_<n>.json`` files where
-``wall_s`` alone moves with the shared host.  ``peak_mem_mb`` is the
+``wall_s`` alone moves with the shared host, as does a raw ``--trace 1``
+per-layer time over its entry's ``kernel_ms``.  ``peak_mem_mb`` is the
 ``tracemalloc`` peak of one more, untimed solve (built outside tracing).
 ``digest`` is the first 16 hex digits of the sha256 of the estimate's bytes,
 so two files show which runs changed bits.
@@ -113,15 +115,19 @@ def timed_run(name, size, probe):
     }
 
 
-def perfbench(workload, trace):
-    """The final JSON line of one ``perfbench/run.py`` run."""
+def perfbench(workload, trace, probe):
+    """The final JSON line of one ``perfbench/run.py`` run, with the reference
+    kernel's median ms over its timings before and after the run."""
+    kernel = kernel_times(probe)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True)
     if proc.returncode not in (0, 1):  # 1: ran, but some solve failed its checks
         raise RuntimeError(f"perfbench {workload} --trace {trace} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    kernel += kernel_times(probe)
+    return {**json.loads(proc.stdout.splitlines()[-1]),
+            "kernel_ms": round(1e3 * statistics.median(kernel), 4)}
 
 
 def main(argv=None):
@@ -148,7 +154,7 @@ def main(argv=None):
                          for size in (args.size, 2 * args.size, 4 * args.size)}
                   for name in SWEEP},
         "perfbench": {} if args.no_perfbench else {
-            f"{workload} --trace {trace}": perfbench(workload, trace)
+            f"{workload} --trace {trace}": perfbench(workload, trace, probe)
             for workload in WORKLOADS for trace in (0, 1)},
     }
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")

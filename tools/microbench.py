@@ -11,7 +11,8 @@ For each image side it times, on random float64 data:
   observation-sized point from outside the ball;
 - the per-iteration record's own primitives: ``tv_norm`` of the image and
   ``L1Norm.evaluate`` of the frame coefficients, the objectives of the TV
-  and the frame formulations.
+  and the frame formulations, and ``l2_distance`` between two frame
+  coefficient vectors, the frame runs' primal residual (``record.primal``).
 
 Each repeat times a batch of calls sized to take about ``BATCH_MS``; a
 primitive's time is the fastest repeat's mean per call.  One JSON line per
@@ -49,6 +50,7 @@ from ballast import (
     tv_norm,
     tv_prox,
 )
+from ballast.prox import l2_distance
 
 BATCH_MS = 20.0  # target duration of one timed batch
 
@@ -81,6 +83,8 @@ def primitives(size, seed=0):
     calls["project_ball"] = lambda: project_ball(2.0 * y, ball)
     calls["tv_norm"] = lambda: tv_norm(x)
     calls["l1.evaluate"] = lambda: L1Norm().evaluate(coefficients)
+    other = frame.analysis(rng.standard_normal(shape))
+    calls["record.primal"] = lambda: l2_distance(coefficients, other)
     return calls
 
 
