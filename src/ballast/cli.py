@@ -159,6 +159,13 @@ def write_run_outputs(report, run_dir):
     return paths
 
 
+def _out_of_memory(name, spec):
+    """The error outcome of a run whose arrays do not fit in memory."""
+    size = f"size {spec['size']}" if "size" in spec else "the default size"
+    return {"name": name, "status": "error", "exit": 2,
+            "message": f"not enough memory for {size}; pass a smaller --size"}
+
+
 def _execute_run(spec):
     """Worker for one run; returns a plain dict so it survives pickling."""
     name = spec["experiment"]
@@ -169,8 +176,12 @@ def _execute_run(spec):
         )
     except (KeyError, ValueError) as exc:
         return {"name": name, "status": "error", "message": str(exc), "exit": 2}
+    except MemoryError:
+        return _out_of_memory(name, spec)
     try:
         report = harness.run_experiment(setup)
+    except MemoryError:
+        return _out_of_memory(spec.get("name") or setup.name, spec)
     except DivergenceError as exc:
         # keep whatever history exists so the blow-up can be inspected
         os.makedirs(run_dir, exist_ok=True)

@@ -374,7 +374,7 @@ _FRAME_LEVELS = 4
 RUN_KNOBS = {
     "mu": (float, "override the ADMM penalty weight"),
     "epsilon": (float, "override the constraint radius"),
-    "iterations": (int, "override the iteration budget"),
+    "iterations": (int, f"iteration budget (default {SolverConfig.max_iterations})"),
     "seed": (int, "noise/geometry seed (default 0)"),
     "size": (int, "image side length (default 128, at least 16)"),
     "lines": (int, "radial sampling lines (Fourier runs)"),
@@ -382,59 +382,59 @@ RUN_KNOBS = {
     "kernel": (str, "override the blur kernel family (deblur runs)"),
 }
 
-# Per-run solver settings: (penalty weight mu, iteration budget).  mu was
-# hand-tuned at the default 128x128 size for an earlier solver: relaxation 1
-# and a cold-started 10-step TV prox, not today's over-relaxed step and warm
-# prox, and it has not been retuned since (tools/tune_mu.py sweeps today's
-# solver).  A budget is 3x the reference iteration count of acceptance
-# criterion 8 for the deblurring runs, and the bound of criteria 5-7 for the
-# others.  Every run stops on SolverConfig's one rel_tol.
-_SETTINGS = {
-    "deblur-uniform-syn": (2.0, 402),
-    "deblur-gauss-lo-syn": (1.0, 408),
-    "deblur-gauss-hi-syn": (1.0, 327),
-    "deblur-iq-lo-syn": (1.0, 174),
-    "deblur-iq-hi-syn": (1.0, 123),
-    "deblur-uniform-ana": (2.0, 414),
-    "deblur-gauss-lo-ana": (1.0, 327),
-    "deblur-gauss-hi-ana": (1.0, 261),
-    "deblur-iq-lo-ana": (1.5, 126),
-    "deblur-iq-hi-ana": (1.0, 117),
-    "deblur-uniform-tv": (0.5, 696),
-    "deblur-gauss-lo-tv": (0.5, 450),
-    "deblur-gauss-hi-tv": (0.3, 300),
-    "deblur-iq-lo-tv": (1.0, 177),
-    "deblur-iq-hi-tv": (0.5, 111),
-    "mri": (150.0, 300),
-    "squares": (5.0, 150),
-    "inpaint": (0.05, 200),
+# Per-run ADMM penalty weight mu, the one solver setting that differs by run;
+# every run stops on SolverConfig's one rel_tol within its default budget.
+# mu was hand-tuned at the default 128x128 size for an earlier solver
+# (relaxation 1 and a cold-started 10-step TV prox, not today's over-relaxed
+# step and warm prox) and has not been retuned since.  To retune a run, edit
+# its value here, then run tests/test_acceptance.py: its criteria are the
+# verdict.
+_MU = {
+    "deblur-uniform-syn": 2.0,
+    "deblur-gauss-lo-syn": 1.0,
+    "deblur-gauss-hi-syn": 1.0,
+    "deblur-iq-lo-syn": 1.0,
+    "deblur-iq-hi-syn": 1.0,
+    "deblur-uniform-ana": 2.0,
+    "deblur-gauss-lo-ana": 1.0,
+    "deblur-gauss-hi-ana": 1.0,
+    "deblur-iq-lo-ana": 1.5,
+    "deblur-iq-hi-ana": 1.0,
+    "deblur-uniform-tv": 0.5,
+    "deblur-gauss-lo-tv": 0.5,
+    "deblur-gauss-hi-tv": 0.3,
+    "deblur-iq-lo-tv": 1.0,
+    "deblur-iq-hi-tv": 0.5,
+    "mri": 150.0,
+    "squares": 5.0,
+    "inpaint": 0.05,
 }
 
 
 class _Experiment(NamedTuple):
-    """One catalog entry; its solver settings are ``_SETTINGS[name]``."""
+    """One catalog entry; its ``mu`` is ``_MU[name]``, and it runs to
+    SolverConfig's default budget of 500 iterations unless the
+    ``iterations`` knob sets one."""
 
     instance: object  # factory taking size=, seed= and the entry's instance knobs
     formulation: str  # "direct" | "synthesis" | "analysis"
     penalty: object  # factory, called fresh on every build
-    warm_start: str
 
 
 EXPERIMENTS = {
     **{
         f"deblur-{blur_class}-{tag}": _Experiment(
             partial(deblur_instance, **BLUR_CLASSES[blur_class]), formulation,
-            IsotropicTV if formulation == "direct" else L1Norm, "observation",
+            IsotropicTV if formulation == "direct" else L1Norm,
         )
         for blur_class in BLUR_CLASSES
         for formulation, tag in _FORMULATION_TAG.items()
     },
     # mri's large mu makes a small prox weight (1/150) that needs more inner
     # steps: at 3 or 5 its relative error is about 28% or 17% above that at 10
-    "mri": _Experiment(fourier_phantom_instance, "direct",
-                       partial(IsotropicTV, iterations=10), "adjoint"),
-    "squares": _Experiment(fourier_squares_instance, "direct", IsotropicTV, "adjoint"),
-    "inpaint": _Experiment(inpainting_instance, "direct", IsotropicTV, "adjoint"),
+    "mri": _Experiment(fourier_phantom_instance, "direct", partial(IsotropicTV, iterations=10)),
+    "squares": _Experiment(fourier_squares_instance, "direct", IsotropicTV),
+    "inpaint": _Experiment(inpainting_instance, "direct", IsotropicTV),
 }
 
 # smallest image side any catalog run takes: the cartoon and squares scenes
@@ -480,7 +480,8 @@ def build_experiment(name, **knobs):
     """Instantiate a catalog experiment, optionally overriding its knobs.
 
     ``knobs`` are named in ``RUN_KNOBS``; a knob left out or given as None
-    keeps the experiment's default (size 128, seed 0).  A knob the
+    keeps the experiment's default (size 128, seed 0, the catalog's ``mu``,
+    and SolverConfig's budget of 500 iterations).  A knob the
     experiment does not take, or a size below 16, raises ``ValueError``
     naming it.
     """
@@ -496,9 +497,8 @@ def build_experiment(name, **knobs):
     knobs = {knob: value for knob, value in knobs.items() if value is not None}
     if knobs.get("size", _MIN_SIZE) < _MIN_SIZE:
         raise ValueError(f"knob 'size' must be >= {_MIN_SIZE}, got {knobs['size']}")
-    mu, budget = _SETTINGS[name]
-    mu = knobs.pop("mu", mu)
-    budget = knobs.pop("iterations", budget)
+    mu = knobs.pop("mu", _MU[name])
+    budget = knobs.pop("iterations", SolverConfig.max_iterations)
     epsilon = knobs.pop("epsilon", None)
     for knob in knobs:
         if knob not in _FACTORY_PARAMETERS[name]:
@@ -509,12 +509,11 @@ def build_experiment(name, **knobs):
     frame = None
     if entry.formulation != "direct":
         frame = UndecimatedHaar(inst.truth.shape, levels=_FRAME_LEVELS)
-    config = SolverConfig(
-        mu=mu,
-        epsilon=inst.epsilon,
-        max_iterations=budget,
-        warm_start=entry.warm_start,
-    )
+    # the observation is a starting image only where it is image-shaped: the
+    # deblurring runs; the others start from the adjoint
+    image_shaped = np.shape(inst.observation) == inst.truth.shape
+    config = SolverConfig(mu=mu, epsilon=inst.epsilon, max_iterations=budget,
+                          warm_start="observation" if image_shaped else "adjoint")
     return RunSetup(name=name, instance=inst, penalty=entry.penalty(),
                     formulation=entry.formulation, frame=frame, config=config)
 

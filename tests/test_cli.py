@@ -279,6 +279,22 @@ def test_worker_count_is_bounded_by_runs_and_cores(monkeypatch):
     assert cli._worker_count(100, 10) == 1
 
 
+# the run_experiment case builds for real, so it runs at a small size
+@pytest.mark.parametrize("stage, size", [("build_experiment", "30000"),
+                                         ("run_experiment", "32")])
+def test_out_of_memory_exits_two_naming_the_size(stage, size, tmp_path, capsys, monkeypatch):
+    def too_large(*args, **kwargs):
+        raise MemoryError  # numpy's error for an array it cannot allocate
+
+    monkeypatch.setattr(harness, stage, too_large)
+    code = run_cli("run", "--experiment", "deblur-uniform-tv", "--size", size,
+                   "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"size {size}" in err and "memory" in err and "Traceback" not in err
+    assert not (tmp_path / "deblur-uniform-tv").exists()
+
+
 def test_divergence_exits_three_with_partial_outputs(tmp_path, capsys, monkeypatch):
     records = [
         IterationRecord(k=1, objective=10.0, constraint_norm=5.0,

@@ -28,6 +28,7 @@ from ballast.harness import (
     run_experiment,
     shepp_logan,
 )
+from ballast.solver import SolverConfig
 
 
 # ---------------------------------------------------------------------------
@@ -327,31 +328,31 @@ def test_build_experiment_resolves_aliases():
 
 
 # Every catalog entry as built at size 32: formulation, penalty kind, TV prox
-# inner steps, frame levels (None: no frame), mu, iteration budget, solver
-# warm start, noise sigma and ball radius.
+# inner steps, frame levels (None: no frame), mu, solver warm start, noise
+# sigma and ball radius.  Every entry runs to SolverConfig's default budget.
 _SQ2, _SQ8 = math.sqrt(2.0), math.sqrt(8.0)
 _OBS, _ADJ = "observation", "adjoint"
 _EPS_UNIFORM, _EPS_LO, _EPS_HI = 20.03516907839812, 50.59644256269407, 101.19288512538814
 _CATALOG = {
-    "deblur-uniform-syn": ("synthesis", "l1", None, 4, 2.0, 402, _OBS, 0.56, _EPS_UNIFORM),
-    "deblur-gauss-lo-syn": ("synthesis", "l1", None, 4, 1.0, 408, _OBS, _SQ2, _EPS_LO),
-    "deblur-gauss-hi-syn": ("synthesis", "l1", None, 4, 1.0, 327, _OBS, _SQ8, _EPS_HI),
-    "deblur-iq-lo-syn": ("synthesis", "l1", None, 4, 1.0, 174, _OBS, _SQ2, _EPS_LO),
-    "deblur-iq-hi-syn": ("synthesis", "l1", None, 4, 1.0, 123, _OBS, _SQ8, _EPS_HI),
-    "deblur-uniform-ana": ("analysis", "l1", None, 4, 2.0, 414, _OBS, 0.56, _EPS_UNIFORM),
-    "deblur-gauss-lo-ana": ("analysis", "l1", None, 4, 1.0, 327, _OBS, _SQ2, _EPS_LO),
-    "deblur-gauss-hi-ana": ("analysis", "l1", None, 4, 1.0, 261, _OBS, _SQ8, _EPS_HI),
-    "deblur-iq-lo-ana": ("analysis", "l1", None, 4, 1.5, 126, _OBS, _SQ2, _EPS_LO),
-    "deblur-iq-hi-ana": ("analysis", "l1", None, 4, 1.0, 117, _OBS, _SQ8, _EPS_HI),
-    "deblur-uniform-tv": ("direct", "tv", 3, None, 0.5, 696, _OBS, 0.56, _EPS_UNIFORM),
-    "deblur-gauss-lo-tv": ("direct", "tv", 3, None, 0.5, 450, _OBS, _SQ2, _EPS_LO),
-    "deblur-gauss-hi-tv": ("direct", "tv", 3, None, 0.3, 300, _OBS, _SQ8, _EPS_HI),
-    "deblur-iq-lo-tv": ("direct", "tv", 3, None, 1.0, 177, _OBS, _SQ2, _EPS_LO),
-    "deblur-iq-hi-tv": ("direct", "tv", 3, None, 0.5, 111, _OBS, _SQ8, _EPS_HI),
-    "mri": ("direct", "tv", 10, None, 150.0, 300, _ADJ, math.sqrt(0.5e-6),
+    "deblur-uniform-syn": ("synthesis", "l1", None, 4, 2.0, _OBS, 0.56, _EPS_UNIFORM),
+    "deblur-gauss-lo-syn": ("synthesis", "l1", None, 4, 1.0, _OBS, _SQ2, _EPS_LO),
+    "deblur-gauss-hi-syn": ("synthesis", "l1", None, 4, 1.0, _OBS, _SQ8, _EPS_HI),
+    "deblur-iq-lo-syn": ("synthesis", "l1", None, 4, 1.0, _OBS, _SQ2, _EPS_LO),
+    "deblur-iq-hi-syn": ("synthesis", "l1", None, 4, 1.0, _OBS, _SQ8, _EPS_HI),
+    "deblur-uniform-ana": ("analysis", "l1", None, 4, 2.0, _OBS, 0.56, _EPS_UNIFORM),
+    "deblur-gauss-lo-ana": ("analysis", "l1", None, 4, 1.0, _OBS, _SQ2, _EPS_LO),
+    "deblur-gauss-hi-ana": ("analysis", "l1", None, 4, 1.0, _OBS, _SQ8, _EPS_HI),
+    "deblur-iq-lo-ana": ("analysis", "l1", None, 4, 1.5, _OBS, _SQ2, _EPS_LO),
+    "deblur-iq-hi-ana": ("analysis", "l1", None, 4, 1.0, _OBS, _SQ8, _EPS_HI),
+    "deblur-uniform-tv": ("direct", "tv", 3, None, 0.5, _OBS, 0.56, _EPS_UNIFORM),
+    "deblur-gauss-lo-tv": ("direct", "tv", 3, None, 0.5, _OBS, _SQ2, _EPS_LO),
+    "deblur-gauss-hi-tv": ("direct", "tv", 3, None, 0.3, _OBS, _SQ8, _EPS_HI),
+    "deblur-iq-lo-tv": ("direct", "tv", 3, None, 1.0, _OBS, _SQ2, _EPS_LO),
+    "deblur-iq-hi-tv": ("direct", "tv", 3, None, 0.5, _OBS, _SQ8, _EPS_HI),
+    "mri": ("direct", "tv", 10, None, 150.0, _ADJ, math.sqrt(0.5e-6),
             0.019581027308756157),
-    "squares": ("direct", "tv", 3, None, 5.0, 150, _ADJ, 0.1, 2.969330025059449),
-    "inpaint": ("direct", "tv", 3, None, 0.05, 200, _ADJ, 0.9297886137166786,
+    "squares": ("direct", "tv", 3, None, 5.0, _ADJ, 0.1, 2.969330025059449),
+    "inpaint": ("direct", "tv", 3, None, 0.05, _ADJ, 0.9297886137166786,
                 26.96751808247105),
 }
 
@@ -359,8 +360,7 @@ _CATALOG = {
 def test_catalog_pins_every_entry():
     assert sorted(_CATALOG) == experiment_names()
     for name, expected in _CATALOG.items():
-        (formulation, kind, tv_steps, levels, mu, budget, warm_start,
-         sigma, epsilon) = expected
+        formulation, kind, tv_steps, levels, mu, warm_start, sigma, epsilon = expected
         setup = build_experiment(name, size=32)
         assert setup.name == name
         assert setup.formulation == formulation, name
@@ -372,8 +372,8 @@ def test_catalog_pins_every_entry():
             assert type(setup.frame) is UndecimatedHaar, name
             assert setup.frame.levels == levels, name
         config = setup.config
-        assert (config.mu, config.max_iterations, config.rel_tol,
-                config.warm_start) == (mu, budget, 3e-4, warm_start), name
+        assert (config.mu, config.rel_tol, config.warm_start) == (mu, 3e-4, warm_start), name
+        assert config.max_iterations == SolverConfig.max_iterations == 500, name
         assert setup.instance.sigma == pytest.approx(sigma, rel=1e-12), name
         assert setup.instance.epsilon == pytest.approx(epsilon, rel=1e-12), name
         assert config.epsilon == setup.instance.epsilon, name

@@ -31,14 +31,6 @@ def test_microbench_prints_one_json_line_per_primitive(capsys):
         assert line["numpy"] and line["git_sha"]
 
 
-def test_tune_mu_runs_one_experiment():
-    tune_mu = load_tool("tune_mu")
-    info = tune_mu.run_one("deblur-uniform-tv", size=16, iterations=5)
-    assert info["iters"] <= info["budget"] == 5
-    line = tune_mu.fmt("deblur-uniform-tv", info)
-    assert line.startswith("deblur-uniform-tv ") and line.endswith(("OK", "--"))
-
-
 def test_bench_writes_catalog_and_sweep(tmp_path, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(TOOLS))  # bench imports git_sha from microbench
     bench = load_tool("bench")
