@@ -24,12 +24,13 @@ print(f"degraded MSE       {mse(inst.degraded, inst.truth):.1f}")
 # each iteration costs one FFT-based application of the operator and its
 # adjoint plus one proximal map per block.  The default "direct" formulation
 # puts the penalty on the image pixels; formulation="synthesis" or
-# "analysis" (with a frame=) puts it on wavelet coefficients instead.
+# "analysis" (with a frame=) puts it on wavelet coefficients instead.  The
+# observation is a real image, so the solver starts from the blurred image
+# itself.
 config = SolverConfig(
     mu=0.5,                   # penalty weight coupling the blocks
     epsilon=inst.epsilon,     # constraint: ||B x - y|| <= epsilon
     max_iterations=300,
-    warm_start="observation",  # start from the blurred image itself
 )
 result = solve(
     inst.operator, inst.observation, IsotropicTV(), config,

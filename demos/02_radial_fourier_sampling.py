@@ -29,8 +29,9 @@ print(f"back-projection MSE {mse(backprojection, inst.truth):.2e}")
 # The unknown is the real image, so each iteration runs one TV prox, warm
 # starting its inner dual variable across outer iterations.  The large mu
 # (a prox weight of 1/150) calls for 10 inner steps instead of the default 3.
-config = SolverConfig(mu=150.0, epsilon=inst.epsilon, max_iterations=300,
-                      warm_start="adjoint")
+# The observation is a vector of frequencies, so the solver starts from the
+# back-projection.
+config = SolverConfig(mu=150.0, epsilon=inst.epsilon, max_iterations=300)
 result = solve(
     inst.operator, inst.observation,
     IsotropicTV(iterations=10), config, truth=inst.truth,

@@ -375,7 +375,7 @@ RUN_KNOBS = {
     "mu": (float, "override the ADMM penalty weight"),
     "epsilon": (float, "override the constraint radius"),
     "iterations": (int, f"iteration budget (default {SolverConfig.max_iterations})"),
-    "seed": (int, "noise/geometry seed (default 0)"),
+    "seed": (int, "noise/geometry seed (default 0, at least 0)"),
     "size": (int, "image side length (default 128, at least 16)"),
     "lines": (int, "radial sampling lines (Fourier runs)"),
     "sigma": (float, "override the noise level"),
@@ -482,8 +482,8 @@ def build_experiment(name, **knobs):
     ``knobs`` are named in ``RUN_KNOBS``; a knob left out or given as None
     keeps the experiment's default (size 128, seed 0, the catalog's ``mu``,
     and SolverConfig's budget of 500 iterations).  A knob the
-    experiment does not take, or a size below 16, raises ``ValueError``
-    naming it.
+    experiment does not take, a size below 16 or a negative seed raises
+    ``ValueError`` naming it.
     """
     name = canonical_experiment_name(name)
     if name not in EXPERIMENTS:
@@ -497,6 +497,8 @@ def build_experiment(name, **knobs):
     knobs = {knob: value for knob, value in knobs.items() if value is not None}
     if knobs.get("size", _MIN_SIZE) < _MIN_SIZE:
         raise ValueError(f"knob 'size' must be >= {_MIN_SIZE}, got {knobs['size']}")
+    if knobs.get("seed", 0) < 0:
+        raise ValueError(f"knob 'seed' must be >= 0, got {knobs['seed']}")
     mu = knobs.pop("mu", _MU[name])
     budget = knobs.pop("iterations", SolverConfig.max_iterations)
     epsilon = knobs.pop("epsilon", None)
@@ -509,11 +511,7 @@ def build_experiment(name, **knobs):
     frame = None
     if entry.formulation != "direct":
         frame = UndecimatedHaar(inst.truth.shape, levels=_FRAME_LEVELS)
-    # the observation is a starting image only where it is image-shaped: the
-    # deblurring runs; the others start from the adjoint
-    image_shaped = np.shape(inst.observation) == inst.truth.shape
-    config = SolverConfig(mu=mu, epsilon=inst.epsilon, max_iterations=budget,
-                          warm_start="observation" if image_shaped else "adjoint")
+    config = SolverConfig(mu=mu, epsilon=inst.epsilon, max_iterations=budget)
     return RunSetup(name=name, instance=inst, penalty=entry.penalty(),
                     formulation=entry.formulation, frame=frame, config=config)
 

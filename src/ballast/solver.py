@@ -83,7 +83,6 @@ class SolverConfig:
     epsilon: float = 0.0
     max_iterations: int = 500
     rel_tol: float = 3e-4  # bound on ||x_k - x_{k-1}|| / ||x_k||, one for every run
-    warm_start: str = "zero"  # "zero" | "adjoint" | "observation"
     record_history: bool = True
 
     def __post_init__(self):
@@ -97,8 +96,6 @@ class SolverConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (0 <= self.rel_tol < math.inf):
             raise ValueError(f"rel_tol must be nonnegative and finite, got {self.rel_tol}")
-        if self.warm_start not in ("zero", "adjoint", "observation"):
-            raise ValueError(f"unknown warm_start mode {self.warm_start!r}")
 
 
 @dataclass
@@ -197,8 +194,8 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
     d0, d1 = state.d
     if formulation == "synthesis":
         # u = s + W^H (x - W s) with s = v0 + d0, added in place into s
-        # unless a complex operator makes the correction complex while s is
-        # still real (the zero warm start)
+        # unless the correction is complex while s is still real: an
+        # operator with complex image-shaped output started from a real y
         u = state.v[0] + d0
         ws = frame.synthesis(u)
         x = op.shifted_normal_inverse(ws + op.adjoint(state.v[1] + d1))
@@ -259,23 +256,16 @@ def check_stop(record, config):
     return CONTINUE
 
 
-def _initial_state(op, y, warm_start, formulation, frame):
-    """The warm start's state; a function of its own, so that no local of
+def _initial_state(op, y, formulation, frame):
+    """The start's state; a function of its own, so that no local of
     ``solve`` keeps an initial array alive once the iterates replace it."""
-    if warm_start == "zero":
-        x0 = u0 = None
-        penalty_shape = op.in_shape if formulation == "direct" else (frame.coefficient_length,)
-        v = [np.zeros(penalty_shape), np.zeros(op.out_shape, dtype=op.out_dtype)]
+    if not np.iscomplexobj(y) and y.shape == tuple(op.in_shape):
+        x0 = np.array(y, dtype=np.float64, copy=True)
     else:
-        if warm_start == "adjoint":
-            x0 = op.adjoint(y)
-        else:
-            if y.shape != tuple(op.in_shape):
-                raise ValueError("observation warm start needs an image-shaped observation")
-            x0 = np.array(y, dtype=np.float64, copy=True)
-        hx0 = x0 if formulation == "direct" else frame.analysis(x0)
-        u0 = hx0 if formulation == "synthesis" else x0
-        v = [hx0, op.forward(x0)]
+        x0 = op.adjoint(y)
+    hx0 = x0 if formulation == "direct" else frame.analysis(x0)
+    u0 = hx0 if formulation == "synthesis" else x0
+    v = [hx0, op.forward(x0)]
     return SolverState(u=u0, v=v, d=[np.zeros_like(vj) for vj in v], x=x0)
 
 
@@ -298,11 +288,10 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
       Parseval so that ``P^H P = I`` lets the u-update reuse the operator's
       shifted-normal inverse unchanged.
 
-    Warm starts (``config.warm_start``): ``"zero"`` starts every block at 0;
-    ``"adjoint"`` starts from the back-projection ``x0 = B^H y`` and
-    ``"observation"`` from the observed image itself, with ``u0`` the image
-    (or its frame coefficients in the synthesis formulation), ``v = [H u0,
-    B x0]`` and zero duals in both.
+    The start ``x0`` is ``y`` itself when ``y`` is a real image, shaped
+    like the operator's domain, and the back-projection ``B^H y`` otherwise;
+    ``u0`` is ``x0`` (its frame coefficients in the synthesis formulation),
+    ``v = [H u0, B x0]`` and the duals are zero.
     """
     if formulation not in ("direct", "synthesis", "analysis"):
         raise ValueError(f"unknown formulation {formulation!r}")
@@ -317,7 +306,7 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
             )
     y = np.asarray(y)
     ball = BallConstraint(y, config.epsilon)
-    state = _initial_state(op, y, config.warm_start, formulation, frame)
+    state = _initial_state(op, y, formulation, frame)
 
     history = []
     t0 = time.perf_counter()
@@ -330,7 +319,7 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
             raise
         hu0, hu1 = state.hu
         constraint = l2_norm(hu1 - y)
-        # a warm start's first u-update returns x0 itself: no change at k = 1
+        # the first u-update may return x0 itself: no change is measured at k = 1
         change = (l2_norm(state.x - previous) / max(l2_norm(state.x), 1e-300)
                   if state.k >= 2 else float("nan"))
         objective = primal = error = float("nan")

@@ -127,6 +127,7 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, experiment):
      pytest.param("inpaint", "--kernel", "gaussian", "'kernel'",
                   id="--kernel-gaussian-'kernel'"),
      pytest.param("mri", "--size", "8", "'size'", id="mri---size-8-'size'"),
+     pytest.param("inpaint", "--seed", "-1", "'seed'", id="--seed--1-'seed'"),
      pytest.param("inpaint", "--epsilon", "nan", "epsilon", id="--epsilon-nan-epsilon"),
      pytest.param("inpaint", "--epsilon", "inf", "epsilon", id="--epsilon-inf-epsilon"),
      pytest.param("inpaint", "--mu", "inf", "mu", id="--mu-inf-mu"),

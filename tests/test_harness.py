@@ -328,7 +328,7 @@ def test_build_experiment_resolves_aliases():
 
 
 # Every catalog entry as built at size 32: formulation, penalty kind, TV prox
-# inner steps, frame levels (None: no frame), mu, solver warm start, noise
+# inner steps, frame levels (None: no frame), mu, the solver's start, noise
 # sigma and ball radius.  Every entry runs to SolverConfig's default budget.
 _SQ2, _SQ8 = math.sqrt(2.0), math.sqrt(8.0)
 _OBS, _ADJ = "observation", "adjoint"
@@ -372,7 +372,13 @@ def test_catalog_pins_every_entry():
             assert type(setup.frame) is UndecimatedHaar, name
             assert setup.frame.levels == levels, name
         config = setup.config
-        assert (config.mu, config.rel_tol, config.warm_start) == (mu, 3e-4, warm_start), name
+        assert (config.mu, config.rel_tol) == (mu, 3e-4), name
+        # the solver starts from the observation itself when it is real and
+        # shaped like the operator's domain, and from the adjoint otherwise
+        observation = setup.instance.observation
+        starts_from_y = (not np.iscomplexobj(observation)
+                         and observation.shape == tuple(setup.instance.operator.in_shape))
+        assert (_OBS if starts_from_y else _ADJ) == warm_start, name
         assert config.max_iterations == SolverConfig.max_iterations == 500, name
         assert setup.instance.sigma == pytest.approx(sigma, rel=1e-12), name
         assert setup.instance.epsilon == pytest.approx(epsilon, rel=1e-12), name

@@ -1,6 +1,7 @@
 """Solver engine tests: step algebra, analytic fixed points, invariants."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ballast import (
     DivergenceError,
     IsotropicTV,
     L1Norm,
+    LinearOperator,
     OrthogonalHaar,
     PartialFourier,
     PixelMask,
@@ -46,7 +48,7 @@ def scalar_problem_config(mu, **kw):
 
 
 def zero_state(op, penalty_shape=None):
-    """The state ``solve`` starts from with the zero warm start.
+    """A state with every block at 0, for driving ``step`` by hand.
 
     The penalty block has ``penalty_shape``: the image shape by default, the
     coefficient shape for the synthesis and analysis formulations.
@@ -296,8 +298,7 @@ def test_analysis_noiseless_identity_returns_observation(rng):
 
 def test_mri_phantom_reconstruction_64():
     inst = fourier_phantom_instance(size=64, lines=22)
-    config = SolverConfig(mu=150.0, epsilon=inst.epsilon, max_iterations=300,
-                          warm_start="adjoint")
+    config = SolverConfig(mu=150.0, epsilon=inst.epsilon, max_iterations=300)
     res = solve(
         inst.operator, inst.observation,
         IsotropicTV(iterations=10), config, truth=inst.truth,
@@ -314,7 +315,7 @@ def test_orthogonal_frame_formulations_agree():
     inst = deblur_instance("uniform", 0.56, size=64, seed=0)
     frame = OrthogonalHaar(inst.truth.shape, levels=4)
     config = SolverConfig(mu=2.0, epsilon=inst.epsilon, max_iterations=500,
-                          rel_tol=1e-6, warm_start="adjoint")
+                          rel_tol=1e-6)
     r_syn = solve(
         inst.operator, inst.observation, L1Norm(),
         config, truth=inst.truth, formulation="synthesis", frame=frame,
@@ -328,9 +329,29 @@ def test_orthogonal_frame_formulations_agree():
     assert abs(m_syn - m_ana) / m_syn <= 0.05
 
 
+class UnitaryFourier(LinearOperator):
+    """The full unitary 2D DFT: a complex observation shaped like the image."""
+
+    out_dtype = np.complex128
+
+    def __init__(self, shape):
+        self.in_shape = self.out_shape = tuple(shape)
+
+    def forward(self, x):
+        return np.fft.fft2(x, norm="ortho")
+
+    def adjoint(self, r):
+        return np.fft.ifft2(r, norm="ortho")
+
+    def shifted_normal_inverse(self, r):
+        return r / 2.0  # F^H F = I
+
+
 def _synthesis_instance(kind):
-    if kind == "convolution":
+    if kind in ("convolution", "complex-image"):
         inst = deblur_instance("uniform", 0.56, size=32, seed=0)
+        if kind == "complex-image":  # a real y that the solver starts from
+            return UnitaryFourier(inst.truth.shape), inst.observation, inst.epsilon
     elif kind == "mask":
         inst = inpainting_instance(size=32, seed=0)
     else:
@@ -344,24 +365,23 @@ def _relative_gap(a, b):
     return np.linalg.norm(np.ravel(a - b)) / max(np.linalg.norm(np.ravel(b)), 1e-300)
 
 
-@pytest.mark.parametrize("warm_start", ["adjoint", "zero"])
-@pytest.mark.parametrize("kind", ["convolution", "mask", "fourier", "real-fourier"])
-def test_synthesis_step_matches_composed_operator_arithmetic(kind, warm_start, monkeypatch):
+@pytest.mark.parametrize("kind,start", [
+    ("convolution", "observation"), ("mask", "adjoint"), ("fourier", "adjoint"),
+    ("real-fourier", "adjoint"), ("complex-image", "observation")])
+def test_synthesis_step_matches_composed_operator_arithmetic(kind, start, monkeypatch):
     # the image-domain synthesis step (one synthesis, one analysis) against
     # the direct step on the composed operator B W (three syntheses, two
-    # analyses): the same iteration, up to rounding.  The zero start begins
-    # with real coefficients, which a complex operator turns complex.
+    # analyses): the same iteration, up to rounding.  The complex-image
+    # operator starts from real coefficients, which its step turns complex.
     op, y, epsilon = _synthesis_instance(kind)
     frame = UndecimatedHaar(op.in_shape, levels=2)
     mu, iterations = 1.0, 30
 
     composed = SynthesisOperator(op, frame)
-    if warm_start == "zero":
-        old = zero_state(composed)
-    else:
-        u0 = composed.adjoint(y)
-        old = SolverState(u=u0, v=[u0, composed.forward(u0)],
-                          d=[np.zeros_like(u0), np.zeros(op.out_shape, dtype=op.out_dtype)])
+    # the solver starts from a real image-shaped y itself, else from B^H y
+    u0 = frame.analysis(y) if start == "observation" else composed.adjoint(y)
+    old = SolverState(u=u0, v=[u0, composed.forward(u0)],
+                      d=[np.zeros_like(u0), np.zeros(op.out_shape, dtype=op.out_dtype)])
     ball = BallConstraint(y, epsilon)
     for _ in range(iterations):
         step(old, composed, ball, L1Norm(), mu)
@@ -375,7 +395,7 @@ def test_synthesis_step_matches_composed_operator_arithmetic(kind, warm_start, m
 
     monkeypatch.setattr(ballast.solver, "step", recording_step)
     config = SolverConfig(mu=mu, epsilon=epsilon, max_iterations=iterations,
-                          rel_tol=0.0, warm_start=warm_start)
+                          rel_tol=0.0)
     result = solve(op, y, L1Norm(), config, formulation="synthesis", frame=frame)
     new = states[-1]
     assert result.iterations == new.k == old.k == iterations
@@ -389,7 +409,7 @@ def test_synthesis_step_matches_composed_operator_arithmetic(kind, warm_start, m
 def test_primal_residual_falls_three_orders():
     inst = deblur_instance("uniform", 0.56, size=64, seed=0)
     config = SolverConfig(mu=0.5, epsilon=inst.epsilon, max_iterations=300,
-                          rel_tol=0.0, warm_start="observation")
+                          rel_tol=0.0)
     res = solve(inst.operator, inst.observation,
                 IsotropicTV(iterations=10), config, truth=inst.truth)
     assert res.iterations == 300  # stopping disabled, full budget
@@ -459,8 +479,7 @@ def test_solve_does_not_stop_on_the_warm_start_itself():
     # from the adjoint start B^H y, a pixel mask's first u-update returns
     # x0 exactly, and B x0 = y is feasible; the run must still iterate
     inst = inpainting_instance(size=32, seed=0)
-    config = SolverConfig(mu=0.05, epsilon=inst.epsilon, max_iterations=200,
-                          warm_start="adjoint")
+    config = SolverConfig(mu=0.05, epsilon=inst.epsilon, max_iterations=200)
     res = solve(inst.operator, inst.observation, IsotropicTV(), config, truth=inst.truth)
     first, last = res.history[0], res.history[-1]
     assert first.k == 1 and first.constraint_norm <= inst.epsilon
@@ -498,7 +517,7 @@ def test_history_off_evaluates_the_objective_once():
     for record_history in (True, False):
         penalty = CountingTV()
         config = SolverConfig(mu=0.2, epsilon=inst.epsilon, max_iterations=200,
-                              warm_start="adjoint", record_history=record_history)
+                              record_history=record_history)
         results[record_history] = solve(inst.operator, inst.observation, penalty, config,
                                         truth=inst.truth), penalty.evaluations
     (on, on_calls), (off, off_calls) = results[True], results[False]
@@ -515,41 +534,48 @@ def test_history_off_evaluates_the_objective_once():
 def test_warm_start_modes_initialize_as_documented():
     # a prox poisoned on its first call stops the solve at iteration 1, so
     # the error carries the untouched initial state
-    inst = deblur_instance("uniform", 0.56, size=16, seed=4)
-    op = inst.operator
-    y = inst.observation
-
-    def initial_state(warm_start, op=op, **solve_kw):
-        config = SolverConfig(max_iterations=5, warm_start=warm_start)
-        with pytest.raises(DivergenceError, match=r"v\[0\] at iteration 1") as excinfo:
-            solve(op, y, PoisonedL1(poison_at=1), config, **solve_kw)
+    def initial_state(op, y, **solve_kw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            with pytest.raises(DivergenceError, match=r"v\[0\] at iteration 1") as excinfo:
+                solve(op, y, PoisonedL1(poison_at=1), SolverConfig(max_iterations=5),
+                      **solve_kw)
         assert excinfo.value.history == []
         assert excinfo.value.state.k == 0
-        return excinfo.value.state
+        state = excinfo.value.state
+        assert all(np.all(dj == 0) for dj in state.d)
+        return state
 
-    state = initial_state("zero")
-    assert state.u is None
-    assert all(np.all(vj == 0) for vj in state.v + state.d)
-
-    state = initial_state("adjoint")
-    np.testing.assert_array_equal(state.u, op.adjoint(y))
-    np.testing.assert_array_equal(state.v[0], op.adjoint(y))
-    np.testing.assert_array_equal(state.v[1], op.forward(op.adjoint(y)))
-    assert all(np.all(dj == 0) for dj in state.d)
-
-    state = initial_state("observation")
+    # a real image-shaped observation: the start is y itself
+    inst = deblur_instance("uniform", 0.56, size=16, seed=4)
+    op, y = inst.operator, inst.observation
+    state = initial_state(op, y)
+    np.testing.assert_array_equal(state.x, y)
     np.testing.assert_array_equal(state.u, y)
+    np.testing.assert_array_equal(state.v[0], y)
     np.testing.assert_array_equal(state.v[1], op.forward(y))
-
-    # synthesis: the observation start is the image's frame coefficients
+    # synthesis: the start is the image's frame coefficients
     frame = OrthogonalHaar(op.in_shape, levels=2)
-    state = initial_state("observation", formulation="synthesis", frame=frame)
+    state = initial_state(op, y, formulation="synthesis", frame=frame)
     np.testing.assert_array_equal(state.u, frame.analysis(y))
 
-    # the observation start needs an observation shaped like the image
-    mask_op = PixelMask(np.ones((4, 4), dtype=bool))
-    with pytest.raises(ValueError, match="image-shaped"):
-        solve(mask_op, np.zeros(16), L1Norm(), SolverConfig(warm_start="observation"))
+    # a pixel mask's flat observation: the start is the adjoint B^H y
+    inst = inpainting_instance(size=16, seed=4)
+    mask_op, y_mask = inst.operator, inst.observation
+    state = initial_state(mask_op, y_mask)
+    x0 = mask_op.adjoint(y_mask)
+    np.testing.assert_array_equal(state.u, x0)
+    np.testing.assert_array_equal(state.v[0], x0)
+    np.testing.assert_array_equal(state.v[1], mask_op.forward(x0))
+
+    # a complex image-shaped observation starts from the adjoint too, with
+    # its imaginary part kept: a float64 copy of y would drop it
+    y_complex = y + 1j * y[::-1]
+    state = initial_state(op, y_complex)
+    x0 = op.adjoint(y_complex)
+    assert np.iscomplexobj(state.x) and np.any(state.x.imag != 0)
+    np.testing.assert_array_equal(state.x, x0)
+    np.testing.assert_array_equal(state.v[1], op.forward(x0))
 
 
 def test_config_validation():
@@ -563,8 +589,6 @@ def test_config_validation():
         SolverConfig(epsilon=float("nan"))
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(warm_start="lukewarm")
     for tol in (-1e-4, float("nan")):
         with pytest.raises(ValueError, match="rel_tol"):
             SolverConfig(rel_tol=tol)
@@ -598,11 +622,8 @@ def test_divergence_state_is_last_finite_iterate(formulation, monkeypatch):
     inst = deblur_instance("uniform", 0.56, size=16, seed=6)
     op = inst.operator
     ball = BallConstraint(inst.observation, inst.epsilon)
-    frame = None
-    snapshot = zero_state(op)
-    if formulation == "synthesis":
-        frame = UndecimatedHaar(op.in_shape, levels=2)
-        snapshot = zero_state(op, (frame.coefficient_length,))
+    frame = UndecimatedHaar(op.in_shape, levels=2) if formulation == "synthesis" else None
+    snapshot = ballast.solver._initial_state(op, inst.observation, formulation, frame)
     for _ in range(poison_at - 1):
         step(snapshot, op, ball, L1Norm(), 0.7, formulation, frame)
 
