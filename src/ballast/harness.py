@@ -45,12 +45,10 @@ __all__ = [
     "inpainting_instance",
     "RunSetup",
     "ExperimentReport",
-    "RUN_KNOBS",
     "canonical_experiment_name",
     "build_experiment",
     "run_experiment",
     "experiment_names",
-    "EXPERIMENTS",
 ]
 
 
@@ -524,7 +522,6 @@ def run_experiment(setup, counting=True):
     result = solve(counted, inst.observation, setup.penalty, setup.config, truth=inst.truth,
                    formulation=setup.formulation, frame=setup.frame)
     estimate = result.estimate
-    final_mse = mse(estimate, inst.truth)
     last = result.last_record
     return ExperimentReport(
         name=setup.name,
@@ -537,7 +534,7 @@ def run_experiment(setup, counting=True):
         final_objective=last.objective,
         final_constraint_norm=last.constraint_norm,
         final_relative_change=last.relative_change,
-        final_mse=final_mse,
+        final_mse=last.mse,
         degraded_mse=mse(inst.degraded, inst.truth),
         isnr_db=isnr(inst.degraded, estimate, inst.truth),
         relative_error=relative_error(estimate, inst.truth),

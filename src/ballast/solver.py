@@ -76,7 +76,7 @@ class SolverConfig:
     ``record_history=False`` keeps no per-iteration records and skips the
     objective, the primal residual and the MSE, which the stop rule does not
     read: the iterates and the stop are those of a run with history on, and
-    the objective is evaluated once, for the final record.
+    the three are evaluated once, for the final record.
     """
 
     mu: float = 1.0
@@ -134,9 +134,9 @@ class IterationRecord:
 class SolveResult:
     """The outcome of ``solve``.
 
-    ``last_record`` is the final iteration's record, kept when history is
-    off; it then carries NaN for ``primal_residual`` and ``mse``, which that
-    mode skips.
+    ``last_record`` is the final iteration's record, complete in both
+    history modes: it equals the last entry of a run with history on in
+    every field but ``wall_time``.
     """
 
     estimate: object
@@ -160,11 +160,10 @@ def _relaxed_prox_input(hu, v, d):
 def _dual_update(v, w):
     """``v - w``, written into the prox input ``w``, which is dead after it.
 
-    A fresh array when the prox returned ``w`` itself or a view of it (as
-    ``project_ball`` does inside the ball), or when ``w`` cannot hold the
-    difference's dtype.
+    A fresh array when the prox returned ``w`` itself or a view of it, as
+    ``project_ball`` does inside the ball.
     """
-    if np.may_share_memory(v, w) or np.result_type(v, w) != w.dtype:
+    if np.may_share_memory(v, w):
         return v - w
     return np.subtract(v, w, out=w)
 
@@ -181,9 +180,9 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
     over-relaxed point ``Hu + (RELAXATION - 1)(Hu - v)``, with ``v`` the
     split variable before the step: the prox input ``w`` is that point minus
     ``d`` and the dual update is ``v_new - w``, written into ``w`` (so a prox
-    must not keep its input).  ``state.hu`` keeps the unrelaxed ``Hu``.  The
-    state is updated only once the image ``x``, ``v[0]`` and ``v[1]`` are
-    all finite.
+    must not keep its input, and must return its input's dtype).
+    ``state.hu`` keeps the unrelaxed ``Hu``.  The state is updated only once
+    the image ``x``, ``v[0]`` and ``v[1]`` are all finite.
 
     In the synthesis and analysis formulations at most six coefficient-sized
     arrays are alive at once: the last iterate's ``hu[0]``, ``v[0]`` and
@@ -193,14 +192,13 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
     """
     d0, d1 = state.d
     if formulation == "synthesis":
-        # u = s + W^H (x - W s) with s = v0 + d0, added in place into s
-        # unless the correction is complex while s is still real: an
-        # operator with complex image-shaped output started from a real y
+        # u = s + W^H (x - W s) with s = v0 + d0, added in place into s,
+        # whose dtype the start fixed (``_initial_state``)
         u = state.v[0] + d0
         ws = frame.synthesis(u)
         x = op.shifted_normal_inverse(ws + op.adjoint(state.v[1] + d1))
         correction = frame.analysis(x - ws)
-        u = np.add(u, correction, out=u if u.dtype == correction.dtype else None)
+        u += correction
         hu0 = u
     elif formulation == "analysis":
         x = u = op.shifted_normal_inverse(
@@ -215,9 +213,8 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
         # the prox input u + (RELAXATION - 1)(u - v0) - d0, with u - v0 =
         # d0 + correction and RELAXATION - 2 = -(RELAXATION - 1) at 1.5, is
         # u + (RELAXATION - 1)(correction - d0): formed in the correction
-        # array, which is dead by now, unless it cannot hold u's dtype
-        w0 = np.subtract(correction, d0,
-                         out=correction if u.dtype == correction.dtype else None)
+        # array, which is dead by now
+        w0 = np.subtract(correction, d0, out=correction)
         w0 *= RELAXATION - 1.0
         w0 += u
     else:
@@ -258,8 +255,12 @@ def check_stop(record, config):
 
 def _initial_state(op, y, formulation, frame):
     """The start's state; a function of its own, so that no local of
-    ``solve`` keeps an initial array alive once the iterates replace it."""
-    if not np.iscomplexobj(y) and y.shape == tuple(op.in_shape):
+    ``solve`` keeps an initial array alive once the iterates replace it.
+
+    The start fixes every iterate's dtype: ``B^H y`` is complex wherever a
+    step could make the image complex, so no step changes it."""
+    if (not np.iscomplexobj(y) and y.shape == tuple(op.in_shape)
+            and not np.issubdtype(op.out_dtype, np.complexfloating)):
         x0 = np.array(y, dtype=np.float64, copy=True)
     else:
         x0 = op.adjoint(y)
@@ -289,7 +290,8 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
       shifted-normal inverse unchanged.
 
     The start ``x0`` is ``y`` itself when ``y`` is a real image, shaped
-    like the operator's domain, and the back-projection ``B^H y`` otherwise;
+    like the operator's domain, and ``B``'s output is real; otherwise it is
+    the back-projection ``B^H y``, so that no iterate changes dtype;
     ``u0`` is ``x0`` (its frame coefficients in the synthesis formulation),
     ``v = [H u0, B x0]`` and the duals are zero.
     """
@@ -318,42 +320,37 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
             err.history = history
             raise
         hu0, hu1 = state.hu
-        constraint = l2_norm(hu1 - y)
         # the first u-update may return x0 itself: no change is measured at k = 1
         change = (l2_norm(state.x - previous) / max(l2_norm(state.x), 1e-300)
                   if state.k >= 2 else float("nan"))
-        objective = primal = error = float("nan")
-        finite = np.isfinite(constraint)
-        if config.record_history:
-            objective = penalty.evaluate(hu0)
-            primal = float(np.sqrt(l2_distance(hu0, state.v[0]) ** 2
-                                   + l2_distance(hu1, state.v[1]) ** 2))
-            finite = finite and np.isfinite(objective) and np.isfinite(primal)
+        record = IterationRecord(
+            k=state.k,
+            objective=float("nan"),
+            constraint_norm=l2_norm(hu1 - y),
+            primal_residual=float("nan"),
+            wall_time=float("nan"),
+            relative_change=change,
+        )
+        status = check_stop(record, config)
+        finite = np.isfinite(record.constraint_norm)
+        # the stop rule reads neither the objective, the primal residual nor
+        # the MSE: with history off they are evaluated for the final record only
+        if config.record_history or status != CONTINUE:
+            record.objective = penalty.evaluate(hu0)
+            record.primal_residual = float(np.sqrt(l2_distance(hu0, state.v[0]) ** 2
+                                                   + l2_distance(hu1, state.v[1]) ** 2))
+            finite = (finite and np.isfinite(record.objective)
+                      and np.isfinite(record.primal_residual))
             if truth is not None:
-                error = mse(state.x, truth)
+                record.mse = mse(state.x, truth)
         if not finite:
             raise DivergenceError(f"non-finite instrumentation at iteration {state.k}",
                                   state=state, history=history)
-        record = IterationRecord(
-            k=state.k,
-            objective=objective,
-            constraint_norm=constraint,
-            primal_residual=primal,
-            wall_time=time.perf_counter() - t0,
-            mse=error,
-            relative_change=change,
-        )
+        record.wall_time = time.perf_counter() - t0
         if config.record_history:
             history.append(record)
-        status = check_stop(record, config)
         if status != CONTINUE:
             break
-    if not config.record_history:
-        # the stop rule never reads the objective: evaluate it once, for the final record
-        record.objective = penalty.evaluate(state.hu[0])
-        if not np.isfinite(record.objective):
-            raise DivergenceError(f"non-finite objective at iteration {state.k}",
-                                  state=state, history=history)
     return SolveResult(
         estimate=state.x,
         u=state.u,

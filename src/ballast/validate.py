@@ -13,7 +13,7 @@ from .frames import OrthogonalHaar, UndecimatedHaar
 from .operators import CircularConvolution, PartialFourier, PixelMask, SynthesisOperator
 from .prox import BallConstraint, project_ball, soft_threshold, tv_norm, tv_prox
 
-__all__ = ["run_suite", "CheckResult"]
+__all__ = ["run_suite"]
 
 
 class CheckResult:

@@ -1,5 +1,6 @@
 """Benchmark harness tests: generators, instances, catalog, and reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -498,9 +499,11 @@ def test_run_experiment_with_history_off_reports_the_final_record(monkeypatch):
     assert report.iterations == reference.iterations
     assert report.final_objective == reference.final_objective
     assert report.final_constraint_norm == reference.final_constraint_norm
-    # history off skips the primal residual and the MSE; the stop rule
-    # reads neither
+    assert report.final_mse == reference.final_mse
+    # history off skips the objective, the primal residual and the MSE until
+    # the last iteration, whose record is then complete
     last, reference_last = results[0].last_record, results[1].last_record
-    assert math.isnan(last.primal_residual) and math.isnan(last.mse)
-    assert not math.isnan(reference_last.primal_residual)
-    assert not math.isnan(reference_last.mse)
+    assert reference_last is results[1].history[-1]
+    assert (dataclasses.replace(last, wall_time=0.0)
+            == dataclasses.replace(reference_last, wall_time=0.0))
+    assert not math.isnan(last.primal_residual) and not math.isnan(last.mse)

@@ -350,7 +350,7 @@ class UnitaryFourier(LinearOperator):
 def _synthesis_instance(kind):
     if kind in ("convolution", "complex-image"):
         inst = deblur_instance("uniform", 0.56, size=32, seed=0)
-        if kind == "complex-image":  # a real y that the solver starts from
+        if kind == "complex-image":  # a real y, complex B y: the start is B^H y
             return UnitaryFourier(inst.truth.shape), inst.observation, inst.epsilon
     elif kind == "mask":
         inst = inpainting_instance(size=32, seed=0)
@@ -367,18 +367,20 @@ def _relative_gap(a, b):
 
 @pytest.mark.parametrize("kind,start", [
     ("convolution", "observation"), ("mask", "adjoint"), ("fourier", "adjoint"),
-    ("real-fourier", "adjoint"), ("complex-image", "observation")])
+    ("real-fourier", "adjoint"), ("complex-image", "adjoint")])
 def test_synthesis_step_matches_composed_operator_arithmetic(kind, start, monkeypatch):
     # the image-domain synthesis step (one synthesis, one analysis) against
     # the direct step on the composed operator B W (three syntheses, two
     # analyses): the same iteration, up to rounding.  The complex-image
-    # operator starts from real coefficients, which its step turns complex.
+    # operator's real y starts from B^H y, so its coefficients are complex
+    # from k = 0 and no step changes their dtype.
     op, y, epsilon = _synthesis_instance(kind)
     frame = UndecimatedHaar(op.in_shape, levels=2)
     mu, iterations = 1.0, 30
 
     composed = SynthesisOperator(op, frame)
-    # the solver starts from a real image-shaped y itself, else from B^H y
+    # the solver starts from a real image-shaped y itself where B's output
+    # is real, else from B^H y
     u0 = frame.analysis(y) if start == "observation" else composed.adjoint(y)
     old = SolverState(u=u0, v=[u0, composed.forward(u0)],
                       d=[np.zeros_like(u0), np.zeros(op.out_shape, dtype=op.out_dtype)])
@@ -577,6 +579,18 @@ def test_warm_start_modes_initialize_as_documented():
     np.testing.assert_array_equal(state.x, x0)
     np.testing.assert_array_equal(state.v[1], op.forward(x0))
 
+    # a real image-shaped observation of an operator with complex output
+    # starts from the adjoint: the iterates are complex from k = 0, so no
+    # step has to change their dtype
+    fourier = UnitaryFourier(op.in_shape)
+    state = initial_state(fourier, y)
+    x0 = fourier.adjoint(y)
+    assert np.iscomplexobj(state.x) and np.any(state.x.imag != 0)
+    np.testing.assert_array_equal(state.x, x0)
+    np.testing.assert_array_equal(state.v[1], fourier.forward(x0))
+    state = initial_state(fourier, y, formulation="synthesis", frame=frame)
+    np.testing.assert_array_equal(state.u, frame.analysis(x0))
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -611,6 +625,28 @@ def test_divergence_error_carries_history():
         solve(op, np.ones(4), PoisonedL1(poison_at=poison_after + 1), config)
     assert len(excinfo.value.history) == poison_after
     assert [rec.k for rec in excinfo.value.history] == [1, 2, 3]
+
+
+class InfiniteL1(L1Norm):
+    """l1 whose value is infinite: every record that evaluates it is non-finite."""
+
+    def evaluate(self, v):
+        return float("inf")
+
+
+@pytest.mark.parametrize("record_history", [True, False])
+def test_non_finite_objective_is_divergence_in_both_history_modes(record_history):
+    # with history off the objective is evaluated for the final record only,
+    # and the same check as in every history-on record runs on it
+    op = PixelMask(np.ones((2, 2), dtype=bool))
+    config = SolverConfig(epsilon=0.0, max_iterations=7, rel_tol=0.0,
+                          record_history=record_history)
+    last = 1 if record_history else config.max_iterations
+    with pytest.raises(DivergenceError,
+                       match=rf"non-finite instrumentation at iteration {last}$") as excinfo:
+        solve(op, np.ones(4), InfiniteL1(), config)
+    assert excinfo.value.state.k == last
+    assert excinfo.value.history == []
 
 
 @pytest.mark.parametrize("formulation", ["direct", "synthesis"])
