@@ -168,35 +168,34 @@ def _out_of_memory(name, spec):
 
 def _execute_run(spec):
     """Worker for one run; returns a plain dict so it survives pickling."""
-    name = spec["experiment"]
+    run_name = spec.get("name") or spec["experiment"]
     run_dir = spec["run_dir"]
     try:
         setup = harness.build_experiment(
-            name, **{knob: spec[knob] for knob in harness.RUN_KNOBS if knob in spec}
+            spec["experiment"],
+            **{knob: spec[knob] for knob in harness.RUN_KNOBS if knob in spec},
         )
     except (KeyError, ValueError) as exc:
-        return {"name": name, "status": "error", "message": str(exc), "exit": 2}
+        return {"name": run_name, "status": "error", "message": str(exc), "exit": 2}
     except MemoryError:
-        return _out_of_memory(name, spec)
+        return _out_of_memory(run_name, spec)
     try:
         report = harness.run_experiment(setup)
     except MemoryError:
-        return _out_of_memory(spec.get("name") or setup.name, spec)
+        return _out_of_memory(run_name, spec)
     except DivergenceError as exc:
         # keep whatever history exists so the blow-up can be inspected
         os.makedirs(run_dir, exist_ok=True)
         _write_history(run_dir, exc.history)
-        _write_summary(run_dir, {"name": spec.get("name") or setup.name,
-                                 "status": "diverged", "partial": True,
+        _write_summary(run_dir, {"name": run_name, "status": "diverged", "partial": True,
                                  "message": str(exc), "iterations": len(exc.history)})
         return {
-            "name": spec.get("name") or setup.name,
+            "name": run_name,
             "status": "diverged",
             "message": str(exc),
             "exit": 3,
             "run_dir": run_dir,
         }
-    run_name = spec.get("name") or setup.name
     write_run_outputs(report, run_dir)
     # a converged run is feasible: check_stop converges on this same test
     feasible = report.final_constraint_norm <= (1.0 + FEASIBILITY_SLACK) * report.epsilon

@@ -233,7 +233,7 @@ def test_criterion_8_deblurring_family():
     lines = []
     for (blur_class, tag), reference in _REFERENCE_ITERATIONS.items():
         name = f"deblur-{blur_class}-{tag}"
-        report = run_experiment(build_experiment(name), counting=False)
+        report = run_experiment(build_experiment(name))
         phi = np.array([rec.objective for rec in report.history])
         con = np.array([rec.constraint_norm for rec in report.history])
         crossed = bool(con.min() <= report.epsilon)

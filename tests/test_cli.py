@@ -261,6 +261,17 @@ def test_parallel_jobs_run_both_configs(tmp_path):
     assert (tmp_path / "deblur-uniform-tv" / "summary.json").exists()
 
 
+def test_build_error_names_the_run(tmp_path, capsys):
+    (tmp_path / "good.conf").write_text("experiment = inpaint\nname = good\nsize = 32\n")
+    (tmp_path / "bad.conf").write_text("experiment = inpaint\nname = bad\nlines = 4\n")
+    code = run_cli("run", "--config", str(tmp_path / "good.conf"),
+                   "--config", str(tmp_path / "bad.conf"), "--out", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("bad: error:")
+    assert (tmp_path / "good" / "summary.json").exists()
+    assert not (tmp_path / "bad").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
     code = run_cli("run", "--experiment", "inpaint", "--size", "32",

@@ -206,7 +206,7 @@ def test_frame_solve_peak_memory_is_about_six_coefficient_arrays(name):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        run_experiment(setup, counting=False)
+        run_experiment(setup)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:

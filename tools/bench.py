@@ -85,7 +85,7 @@ def peak_mem_mb(name, size):
     setup = build_experiment(name, size=size)
     tracemalloc.start()
     try:
-        run_experiment(setup, counting=False)
+        run_experiment(setup)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -100,7 +100,7 @@ def timed_run(name, size, probe):
     for _ in range(REPEAT):
         setup = build_experiment(name, size=size)
         t0 = time.perf_counter()
-        report = run_experiment(setup, counting=False)
+        report = run_experiment(setup)
         best = min(best, time.perf_counter() - t0)
         kernel += kernel_times(probe)
     return {
