@@ -1,7 +1,9 @@
 """Command-line front end: run catalog experiments and the self-check suite.
 
-Exit codes: 0 all runs converged (or finished feasible), 1 some run exhausted
-its budget while infeasible, 2 usage or configuration error, 3 divergence.
+Each run prints one line, to stderr when it failed.  The exit code is the
+worst run's: 0 converged (or finished feasible), 1 exhausted its budget while
+infeasible, 2 usage, configuration or memory error or outputs that cannot be
+written, 3 divergence.
 """
 
 import argparse
@@ -32,34 +34,38 @@ class ConfigError(ValueError):
 
 def parse_config(path):
     """Read a flat ``key = value`` file (# comments, blank lines allowed)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     settings = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(
-                    f"{path}:{lineno}: unknown key {key!r} "
-                    f"(valid: {', '.join(sorted(_CONFIG_KEYS))})"
-                )
-            if key in settings:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            caster = _CONFIG_KEYS[key]
-            try:
-                settings[key] = caster(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: cannot parse {value!r} as {caster.__name__}"
-                ) from None
-            if key == "name" and (value in ("", ".", "..") or os.path.basename(value) != value):
-                raise ConfigError(
-                    f"{path}:{lineno}: name {value!r} is not a plain directory name")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(
+                f"{path}:{lineno}: unknown key {key!r} "
+                f"(valid: {', '.join(sorted(_CONFIG_KEYS))})"
+            )
+        if key in settings:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        caster = _CONFIG_KEYS[key]
+        try:
+            settings[key] = caster(value)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: cannot parse {value!r} as {caster.__name__}"
+            ) from None
+        if key == "name" and (value in ("", ".", "..") or os.path.basename(value) != value):
+            raise ConfigError(
+                f"{path}:{lineno}: name {value!r} is not a plain directory name")
     if "experiment" not in settings:
         raise ConfigError(f"{path}: missing required key 'experiment'")
     return settings
@@ -95,39 +101,27 @@ def write_run_outputs(report, run_dir):
     byte-identical across repeat runs of the same configuration.
     """
     os.makedirs(run_dir, exist_ok=True)
-    paths = {}
+    paths = {"history": "history.csv", "timing": "timing.csv", "summary": "summary.json"}
 
     _write_history(run_dir, report.history)
-    paths["history"] = "history.csv"
-
-    timing_path = os.path.join(run_dir, "timing.csv")
-    with open(timing_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(run_dir, "timing.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("k,wall_time_s\n")
         for rec in report.history:
             fh.write(f"{rec.k},{_fmt(rec.wall_time)}\n")
-    paths["timing"] = "timing.csv"
 
     inst = report.instance
-    vmin = float(np.min(inst.truth))
-    vmax = float(np.max(inst.truth))
-    truth_q, _, _ = pnm.quantize_u16(inst.truth, vmin, vmax)
-    pnm.write_pgm16(os.path.join(run_dir, "truth.pgm"), truth_q)
-    paths["truth"] = "truth.pgm"
-
-    est_q, _, _ = pnm.quantize_u16(report.estimate, vmin, vmax)
-    pnm.write_pgm16(os.path.join(run_dir, "reconstruction.pgm"), est_q)
-    paths["reconstruction"] = "reconstruction.pgm"
-
-    deg_q, _, _ = pnm.quantize_u16(inst.degraded, vmin, vmax)
-    pnm.write_pgm16(os.path.join(run_dir, "degraded.pgm"), deg_q)
-    paths["degraded"] = "degraded.pgm"
+    vmin, vmax = float(np.min(inst.truth)), float(np.max(inst.truth))
+    for key, image in (("truth", inst.truth), ("reconstruction", report.estimate),
+                       ("degraded", inst.degraded)):
+        quantized, _, _ = pnm.quantize_u16(image, vmin, vmax)
+        paths[key] = f"{key}.pgm"
+        pnm.write_pgm16(os.path.join(run_dir, paths[key]), quantized)
 
     mask = inst.extras.get("mask")
     if mask is not None:
         pnm.write_pbm(os.path.join(run_dir, "mask.pbm"), mask)
         paths["mask"] = "mask.pbm"
 
-    paths["summary"] = "summary.json"
     _write_summary(run_dir, {
         "name": report.name,
         "formulation": report.formulation,
@@ -159,15 +153,8 @@ def write_run_outputs(report, run_dir):
     return paths
 
 
-def _out_of_memory(name, spec):
-    """The error outcome of a run whose arrays do not fit in memory."""
-    size = f"size {spec['size']}" if "size" in spec else "the default size"
-    return {"name": name, "status": "error", "exit": 2,
-            "message": f"not enough memory for {size}; pass a smaller --size"}
-
-
 def _execute_run(spec):
-    """Worker for one run; returns a plain dict so it survives pickling."""
+    """Worker for one run: its exit code and its report line."""
     run_name = spec.get("name") or spec["experiment"]
     run_dir = spec["run_dir"]
     try:
@@ -175,40 +162,30 @@ def _execute_run(spec):
             spec["experiment"],
             **{knob: spec[knob] for knob in harness.RUN_KNOBS if knob in spec},
         )
-    except (KeyError, ValueError) as exc:
-        return {"name": run_name, "status": "error", "message": str(exc), "exit": 2}
-    except MemoryError:
-        return _out_of_memory(run_name, spec)
-    try:
         report = harness.run_experiment(setup)
+        write_run_outputs(report, run_dir)
+    except ValueError as exc:
+        return 2, f"{run_name}: error: {exc}"
     except MemoryError:
-        return _out_of_memory(run_name, spec)
+        size = f"size {spec['size']}" if "size" in spec else "the default size"
+        return 2, f"{run_name}: error: not enough memory for {size}; pass a smaller --size"
+    except OSError as exc:
+        return 2, f"{run_name}: error: cannot write outputs: {exc}"
     except DivergenceError as exc:
         # keep whatever history exists so the blow-up can be inspected
         os.makedirs(run_dir, exist_ok=True)
         _write_history(run_dir, exc.history)
-        _write_summary(run_dir, {"name": run_name, "status": "diverged", "partial": True,
-                                 "message": str(exc), "iterations": len(exc.history)})
-        return {
-            "name": run_name,
-            "status": "diverged",
-            "message": str(exc),
-            "exit": 3,
-            "run_dir": run_dir,
-        }
-    write_run_outputs(report, run_dir)
+        _write_summary(run_dir, {"name": spec["experiment"], "status": "diverged",
+                                 "partial": True, "message": str(exc),
+                                 "iterations": len(exc.history)})
+        return 3, f"{run_name}: diverged: {exc}"
     # a converged run is feasible: check_stop converges on this same test
     feasible = report.final_constraint_norm <= (1.0 + FEASIBILITY_SLACK) * report.epsilon
-    return {
-        "name": run_name,
-        "status": report.status,
-        "iterations": report.iterations,
-        "mse": report.final_mse,
-        "constraint": report.final_constraint_norm,
-        "epsilon": report.epsilon,
-        "run_dir": run_dir,
-        "exit": 0 if feasible else 1,
-    }
+    return 0 if feasible else 1, (
+        f"{run_name}: {report.status} after {report.iterations} iterations, "
+        f"mse={report.final_mse:.4g}, constraint={report.final_constraint_norm:.4g} "
+        f"(epsilon={report.epsilon:.4g}) -> {run_dir}"
+    )
 
 
 def _build_parser():
@@ -286,6 +263,9 @@ def _cmd_run(args):
         if getattr(args, knob) is not None
     }
     out_root = args.out or os.environ.get(_ENV_OUT) or "runs"
+    if os.path.exists(out_root) and not os.path.isdir(out_root):
+        print(f"error: output root {out_root} is not a directory", file=sys.stderr)
+        return 2
     for spec in specs:
         spec.update(overrides)
         spec["experiment"] = harness.canonical_experiment_name(spec["experiment"])
@@ -321,18 +301,9 @@ def _cmd_run(args):
         outcomes = [_execute_run(spec) for spec in specs]
 
     worst = 0
-    for res in outcomes:
-        if res["status"] == "error":
-            print(f"{res['name']}: error: {res['message']}", file=sys.stderr)
-        elif res["status"] == "diverged":
-            print(f"{res['name']}: diverged: {res['message']}", file=sys.stderr)
-        else:
-            print(
-                f"{res['name']}: {res['status']} after {res['iterations']} iterations, "
-                f"mse={res['mse']:.4g}, constraint={res['constraint']:.4g} "
-                f"(epsilon={res['epsilon']:.4g}) -> {res['run_dir']}"
-            )
-        worst = max(worst, res["exit"])
+    for code, line in outcomes:
+        print(line, file=sys.stderr if code >= 2 else sys.stdout)
+        worst = max(worst, code)
     return worst
 
 

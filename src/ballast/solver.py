@@ -145,7 +145,6 @@ class SolveResult:
     iterations: int
     history: list
     last_record: IterationRecord
-    config: SolverConfig
 
 
 def _relaxed_prox_input(hu, v, d):
@@ -358,5 +357,4 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
         iterations=state.k,
         history=history,
         last_record=record,
-        config=config,
     )

@@ -238,6 +238,15 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert "absent.conf" in capsys.readouterr().err
 
 
+def test_non_utf8_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.conf"
+    cfg.write_bytes(b"experiment = inpaint\nname = \xff\xfe\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "bad.conf" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.conf"]  # nothing written
+
+
 # ---------------------------------------------------------------------------
 # environment, parallelism, divergence
 # ---------------------------------------------------------------------------
@@ -259,6 +268,29 @@ def test_parallel_jobs_run_both_configs(tmp_path):
     assert code == 0
     assert (tmp_path / "inpaint" / "summary.json").exists()
     assert (tmp_path / "deblur-uniform-tv" / "summary.json").exists()
+
+
+def test_output_root_that_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_solve(setup, **kwargs):
+        pytest.fail("a run started although the output root is a file")
+
+    monkeypatch.setattr(harness, "run_experiment", no_solve)
+    out = tmp_path / "f"
+    out.touch()
+    code = run_cli("run", "--experiment", "inpaint", "--size", "16", "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and "Traceback" not in err
+
+
+def test_unwritable_run_directory_is_that_runs_error(tmp_path, capsys):
+    (tmp_path / "inpaint").touch()  # a file where the run's directory would go
+    code = run_cli("run", "--experiment", "inpaint", "--size", "16", "--iterations", "5",
+                   "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("inpaint: error: cannot write outputs:")
+    assert str(tmp_path / "inpaint") in err
 
 
 def test_build_error_names_the_run(tmp_path, capsys):
@@ -331,3 +363,26 @@ def test_divergence_exits_three_with_partial_outputs(tmp_path, capsys, monkeypat
     lines = (run_dir / "history.csv").read_text().splitlines()
     assert len(lines) == 3  # header + the two surviving records
     assert lines[1].startswith("1,")
+
+
+def test_diverged_summary_names_the_experiment_not_the_run(tmp_path, monkeypatch):
+    def explode(setup, **kwargs):
+        raise DivergenceError("non-finite u at iteration 1", history=[])
+
+    monkeypatch.setattr(harness, "run_experiment", explode)
+    cfg = tmp_path / "boom.conf"
+    cfg.write_text("experiment = inpaint\nname = boom\nsize = 32\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 3
+    summary = json.loads((tmp_path / "boom" / "summary.json").read_text())
+    assert summary["name"] == "inpaint"  # as a finished run's; the run's name is its directory
+
+
+def test_solve_value_error_exits_two_without_traceback(tmp_path, capsys, monkeypatch):
+    def bad_solve(setup, **kwargs):
+        raise ValueError("penalty rejected its input")
+
+    monkeypatch.setattr(harness, "run_experiment", bad_solve)
+    code = run_cli("run", "--experiment", "inpaint", "--size", "32", "--out", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err == "inpaint: error: penalty rejected its input\n"
+    assert not (tmp_path / "inpaint").exists()

@@ -6,6 +6,8 @@ import os
 import subprocess
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -69,3 +71,17 @@ def test_bench_writes_catalog_and_sweep(tmp_path, monkeypatch, capsys):
     assert len(data["perfbench"]) == 8
     for entry in data["perfbench"].values():
         assert entry["correct"] and entry["kernel_ms"] > 0
+
+
+def test_bench_rejects_missing_out_directory_before_any_solve(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench = load_tool("bench")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(bench, "build_experiment", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--size", "16", "--no-perfbench",
+                    "--out", str(tmp_path / "missing" / "b.json")])
+    assert exc.value.code == 2

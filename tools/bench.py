@@ -140,6 +140,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.size < 16:
         parser.error("--size must be >= 16")
+    if args.out is not None and not args.out.parent.is_dir():
+        parser.error(f"--out: no directory {args.out.parent}")
     out = args.out
     if out is None:
         n = next(n for n in itertools.count(1) if not (ROOT / f"BENCH_{n}.json").exists())
