@@ -15,7 +15,7 @@ from ballast.harness import fourier_phantom_instance, mse
 # maps the real image to complex frequency samples; its adjoint keeps the real
 # part of the back-projection, so every iterate is a real image.
 inst = fourier_phantom_instance(size=64, lines=22)
-mask = inst.extras["mask"]
+mask = inst.operator.mask
 print(f"frequency samples  {inst.operator.m} of {64 * 64} "
       f"({100.0 * mask.mean():.0f}% of the plane)")
 print(f"noise sigma        {inst.sigma:.2e}")

@@ -75,6 +75,19 @@ def _fmt(x):
     return repr(float(x))
 
 
+# the files a run writes, by their key in summary.json's "files"
+_RUN_FILES = {"history": "history.csv", "timing": "timing.csv", "summary": "summary.json",
+              "truth": "truth.pgm", "reconstruction": "reconstruction.pgm",
+              "degraded": "degraded.pgm", "mask": "mask.pbm"}
+
+
+def _clear_run_dir(run_dir):
+    """Make ``run_dir`` and delete the files an earlier run wrote there, only those."""
+    os.makedirs(run_dir, exist_ok=True)
+    for fname in set(_RUN_FILES.values()) & set(os.listdir(run_dir)):
+        os.remove(os.path.join(run_dir, fname))
+
+
 def _write_history(run_dir, history):
     """Write ``history.csv`` (one row per iteration record) into ``run_dir``."""
     with open(os.path.join(run_dir, "history.csv"), "w", encoding="utf-8",
@@ -97,11 +110,13 @@ def _write_summary(run_dir, summary):
 def write_run_outputs(report, run_dir):
     """Write history.csv, timing.csv, summary.json, and the image files.
 
-    Wall-clock times go only into timing.csv, so every other artifact is
-    byte-identical across repeat runs of the same configuration.
+    They replace an earlier run's files.  Wall-clock times go only into
+    timing.csv, so every other artifact is byte-identical across repeat runs.
     """
-    os.makedirs(run_dir, exist_ok=True)
-    paths = {"history": "history.csv", "timing": "timing.csv", "summary": "summary.json"}
+    _clear_run_dir(run_dir)
+    setup = report.setup
+    inst = setup.instance
+    paths = dict(_RUN_FILES)
 
     _write_history(run_dir, report.history)
     with open(os.path.join(run_dir, "timing.csv"), "w", encoding="utf-8", newline="\n") as fh:
@@ -109,30 +124,27 @@ def write_run_outputs(report, run_dir):
         for rec in report.history:
             fh.write(f"{rec.k},{_fmt(rec.wall_time)}\n")
 
-    inst = report.instance
     vmin, vmax = float(np.min(inst.truth)), float(np.max(inst.truth))
     for key, image in (("truth", inst.truth), ("reconstruction", report.estimate),
                        ("degraded", inst.degraded)):
-        quantized, _, _ = pnm.quantize_u16(image, vmin, vmax)
-        paths[key] = f"{key}.pgm"
-        pnm.write_pgm16(os.path.join(run_dir, paths[key]), quantized)
+        pnm.write_pgm16(os.path.join(run_dir, paths[key]), pnm.quantize_u16(image, vmin, vmax))
 
-    mask = inst.extras.get("mask")
-    if mask is not None:
-        pnm.write_pbm(os.path.join(run_dir, "mask.pbm"), mask)
-        paths["mask"] = "mask.pbm"
+    if inst.operator.mask is None:
+        del paths["mask"]
+    else:
+        pnm.write_pbm(os.path.join(run_dir, paths["mask"]), inst.operator.mask)
 
     _write_summary(run_dir, {
-        "name": report.name,
-        "formulation": report.formulation,
-        "penalty": report.penalty_kind,
+        "name": setup.name,
+        "formulation": setup.formulation,
+        "penalty": setup.penalty.kind,
         "status": report.status,
         "partial": False,
         "iterations": report.iterations,
         "epsilon": report.epsilon,
-        "sigma": report.sigma,
-        "mu": report.config.mu,
-        "max_iterations": report.config.max_iterations,
+        "sigma": inst.sigma,
+        "mu": setup.config.mu,
+        "max_iterations": setup.config.max_iterations,
         "seed": inst.seed,
         "final": {
             "objective": report.final_objective,
@@ -162,7 +174,16 @@ def _execute_run(spec):
             spec["experiment"],
             **{knob: spec[knob] for knob in harness.RUN_KNOBS if knob in spec},
         )
-        report = harness.run_experiment(setup)
+        try:
+            report = harness.run_experiment(setup)
+        except DivergenceError as exc:
+            # keep whatever history exists so the blow-up can be inspected
+            _clear_run_dir(run_dir)
+            _write_history(run_dir, exc.history)
+            _write_summary(run_dir, {"name": spec["experiment"], "status": "diverged",
+                                     "partial": True, "message": str(exc),
+                                     "iterations": len(exc.history)})
+            return 3, f"{run_name}: diverged: {exc}"
         write_run_outputs(report, run_dir)
     except ValueError as exc:
         return 2, f"{run_name}: error: {exc}"
@@ -171,14 +192,6 @@ def _execute_run(spec):
         return 2, f"{run_name}: error: not enough memory for {size}; pass a smaller --size"
     except OSError as exc:
         return 2, f"{run_name}: error: cannot write outputs: {exc}"
-    except DivergenceError as exc:
-        # keep whatever history exists so the blow-up can be inspected
-        os.makedirs(run_dir, exist_ok=True)
-        _write_history(run_dir, exc.history)
-        _write_summary(run_dir, {"name": spec["experiment"], "status": "diverged",
-                                 "partial": True, "message": str(exc),
-                                 "iterations": len(exc.history)})
-        return 3, f"{run_name}: diverged: {exc}"
     # a converged run is feasible: check_stop converges on this same test
     feasible = report.final_constraint_norm <= (1.0 + FEASIBILITY_SLACK) * report.epsilon
     return 0 if feasible else 1, (
@@ -210,7 +223,7 @@ def _build_parser():
     run.add_argument("--jobs", type=int, default=1, help="run up to this many configs at once")
     run.add_argument("--out", help=f"output root (default from ${_ENV_OUT} or ./runs)")
     run.add_argument("--overwrite", action="store_true",
-                     help="allow replacing an existing run directory")
+                     help="replace the files of a run already in its directory")
     run.add_argument("--list", action="store_true", help="list experiment names and exit")
 
     sub.add_parser("validate", help="run the self-check suite")
@@ -242,6 +255,9 @@ def _cmd_run(args):
         return 0
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
+    if args.out == "":
+        print("error: --out must not be empty", file=sys.stderr)
         return 2
     specs = []
     for cfg_path in args.config:

@@ -12,7 +12,7 @@ every instance carries an image-shaped float64 ``degraded`` baseline.
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -65,27 +65,22 @@ def epsilon_rule(m, sigma):
     return float(sigma * math.sqrt(m + 8.0 * math.sqrt(m)))
 
 
-def make_blur_kernel(kind, support=None, variance=1.0):
+def make_blur_kernel(kind):
     """Build a unit-sum blur kernel.
 
-    Kinds: ``uniform`` (default 9x9 box), ``gaussian`` (default 9x9,
-    ``variance`` in pixels^2), ``inverse_quadratic`` (``1/(1+i^2+j^2)``,
-    default 15x15).  ``support`` must be odd so the kernel has a center tap.
+    Kinds: ``uniform`` (9x9 box), ``gaussian`` (9x9, variance 1 pixel^2) and
+    ``inverse_quadratic`` (``1/(1+i^2+j^2)``, 15x15), each centered on its
+    middle tap.
     """
-    defaults = {"uniform": 9, "gaussian": 9, "inverse_quadratic": 15}
-    if kind not in defaults:
+    supports = {"uniform": 9, "gaussian": 9, "inverse_quadratic": 15}
+    if kind not in supports:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    size = defaults[kind] if support is None else int(support)
-    if size < 1 or size % 2 == 0:
-        raise ValueError(f"support must be odd and positive, got {size}")
-    half = size // 2
+    half = supports[kind] // 2
     ii, jj = np.mgrid[-half : half + 1, -half : half + 1]
     if kind == "uniform":
-        kernel = np.ones((size, size))
+        kernel = np.ones(ii.shape)
     elif kind == "gaussian":
-        if variance <= 0:
-            raise ValueError(f"variance must be positive, got {variance}")
-        kernel = np.exp(-(ii**2 + jj**2) / (2.0 * variance))
+        kernel = np.exp(-(ii**2 + jj**2) / 2.0)
     else:
         kernel = 1.0 / (1.0 + ii**2 + jj**2)
     return kernel / kernel.sum()
@@ -157,18 +152,16 @@ def radial_mask(n, lines):
     return mask
 
 
-def random_squares(n, count=15, dynamic_range_db=40.0, seed=0):
-    """Axis-aligned squares with log-spaced amplitudes on a zero background.
+def random_squares(n, seed=0):
+    """15 axis-aligned squares with log-spaced amplitudes on a zero background.
 
-    Amplitudes span the requested dynamic range (``max/min =
-    10**(dB/20)``); squares are painted dimmest first so the brightest are
-    never fully occluded.  Sides are uniform on [4, n//4].
+    Amplitudes span 40 dB (1 to 100); squares are painted dimmest first so
+    the brightest are never fully occluded.  Sides are uniform on [4, n//4].
     """
     if n < 16:
         raise ValueError(f"n must be >= 16, got {n}")
     rng = np.random.default_rng(seed)
-    ratio = 10.0 ** (dynamic_range_db / 20.0)
-    amplitudes = np.geomspace(1.0, ratio, count)
+    amplitudes = np.geomspace(1.0, 100.0, 15)
     img = np.zeros((n, n))
     for amp in amplitudes:
         side = int(rng.integers(4, n // 4 + 1))
@@ -232,14 +225,12 @@ class ProblemInstance:
     epsilon: float
     seed: int
     degraded: np.ndarray  # image-shaped float64 baseline for comparison
-    extras: dict = field(default_factory=dict)
 
 
 def deblur_instance(kernel, sigma, size=128, seed=0):
     """Blur the cartoon scene with a ``kernel`` kind and add white Gaussian noise."""
     truth = cartoon(size)
-    taps = make_blur_kernel(kernel)
-    op = CircularConvolution(taps, truth.shape)
+    op = CircularConvolution(make_blur_kernel(kernel), truth.shape)
     y = add_noise(op.forward(truth), sigma, seed)
     return ProblemInstance(
         truth=truth,
@@ -249,14 +240,12 @@ def deblur_instance(kernel, sigma, size=128, seed=0):
         epsilon=epsilon_rule(y.size, sigma),
         seed=seed,
         degraded=y,
-        extras={"kernel": taps},
     )
 
 
 def _radial_instance(truth, lines, sigma, seed, noise_seed):
     """Sample a real ``truth`` on radial Fourier lines and add complex noise."""
-    mask = radial_mask(truth.shape[0], lines)
-    op = RealPartialFourier(mask)
+    op = RealPartialFourier(radial_mask(truth.shape[0], lines))
     y = add_noise(op.forward(truth), sigma, noise_seed)
     return ProblemInstance(
         truth=truth,
@@ -266,7 +255,6 @@ def _radial_instance(truth, lines, sigma, seed, noise_seed):
         epsilon=epsilon_rule(op.m, sigma),
         seed=seed,
         degraded=op.adjoint(y),
-        extras={"mask": mask, "lines": lines},
     )
 
 
@@ -291,8 +279,7 @@ def inpainting_instance(size=128, seed=0, sigma=None):
     pixels' power.
     """
     truth = cartoon(size)
-    observed = np.random.default_rng(seed).random(truth.shape) >= _MISSING_FRACTION
-    op = PixelMask(observed)
+    op = PixelMask(np.random.default_rng(seed).random(truth.shape) >= _MISSING_FRACTION)
     clean = op.forward(truth)
     if sigma is None:
         sigma = math.sqrt(float(np.mean(clean**2)) * 10.0 ** (-_INPAINT_SNR_DB / 10.0))
@@ -305,7 +292,6 @@ def inpainting_instance(size=128, seed=0, sigma=None):
         epsilon=epsilon_rule(op.m, sigma),
         seed=seed,
         degraded=op.adjoint(y),
-        extras={"mask": observed},
     )
 
 
@@ -323,15 +309,12 @@ class RunSetup:
 
 @dataclass
 class ExperimentReport:
-    """Outcome of one run: final metrics, call counts, and the full history."""
+    """Outcome of one run: its setup, final metrics, call counts, and the full history."""
 
-    name: str
-    formulation: str
-    penalty_kind: str
+    setup: RunSetup
     status: str
     iterations: int
     epsilon: float
-    sigma: float
     final_objective: float
     final_constraint_norm: float
     final_relative_change: float
@@ -343,8 +326,6 @@ class ExperimentReport:
     adjoint_calls: int
     history: list
     estimate: np.ndarray
-    config: SolverConfig
-    instance: ProblemInstance
 
 
 # blur class -> its deblur_instance arguments: kernel kind and noise sigma
@@ -508,13 +489,10 @@ def run_experiment(setup):
     estimate = result.estimate
     last = result.last_record
     return ExperimentReport(
-        name=setup.name,
-        formulation=setup.formulation,
-        penalty_kind=setup.penalty.kind,
+        setup=setup,
         status=result.status,
         iterations=result.iterations,
         epsilon=inst.epsilon,
-        sigma=inst.sigma,
         final_objective=last.objective,
         final_constraint_norm=last.constraint_norm,
         final_relative_change=last.relative_change,
@@ -526,6 +504,4 @@ def run_experiment(setup):
         adjoint_calls=counted.adjoint_calls,
         history=result.history,
         estimate=estimate,
-        config=setup.config,
-        instance=inst,
     )

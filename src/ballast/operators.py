@@ -34,11 +34,13 @@ class LinearOperator:
             coefficient-domain operators).
         out_shape: shape of an observation produced by ``forward``.
         out_dtype: dtype of ``forward`` applied to real input.
+        mask: boolean grid of the sampled entries; None if nothing is sampled.
     """
 
     in_shape = None
     out_shape = None
     out_dtype = np.float64
+    mask = None
 
     def forward(self, x):
         raise NotImplementedError

@@ -13,21 +13,19 @@ __all__ = ["write_pgm16", "read_pgm16", "write_pbm", "read_pbm", "quantize_u16"]
 _MAXVAL = 65535
 
 
-def quantize_u16(image, vmin=None, vmax=None):
-    """Affine-map a float image to uint16 [0, 65535], clipping outliers.
+def quantize_u16(image, vmin, vmax):
+    """Affine-map a float image's [vmin, vmax] to uint16 [0, 65535], clipping outliers.
 
-    Returns ``(samples, vmin, vmax)`` so the mapping can be recorded next to
-    the file.  A constant image maps to 0.
+    A range with ``vmax <= vmin`` maps every sample to 0.
     """
     image = np.asarray(image, dtype=np.float64)
     if not np.all(np.isfinite(image)):
         raise ValueError("image contains non-finite values")
-    lo = float(np.min(image)) if vmin is None else float(vmin)
-    hi = float(np.max(image)) if vmax is None else float(vmax)
+    lo, hi = float(vmin), float(vmax)
     if hi <= lo:
-        return np.zeros(image.shape, dtype=np.uint16), lo, hi
+        return np.zeros(image.shape, dtype=np.uint16)
     scaled = np.clip((image - lo) / (hi - lo), 0.0, 1.0) * _MAXVAL
-    return np.round(scaled).astype(np.uint16), lo, hi
+    return np.round(scaled).astype(np.uint16)
 
 
 def write_pgm16(path, samples):

@@ -150,6 +150,34 @@ def test_overwrite_guard(tmp_path, capsys):
     assert run_cli(*args, "--overwrite") in (0, 1)
 
 
+def _explode(setup, **kwargs):
+    raise DivergenceError("non-finite u at iteration 1", history=[])
+
+
+def test_overwrite_replaces_the_run_files_and_keeps_others(tmp_path, monkeypatch):
+    args = ("run", "--experiment", "inpaint", "--size", "16", "--iterations", "5",
+            "--out", str(tmp_path))
+    assert run_cli(*args) in (0, 1)
+    run_dir = tmp_path / "inpaint"
+    (run_dir / "notes.txt").write_text("mine\n")
+    monkeypatch.setattr(harness, "run_experiment", _explode)
+    assert run_cli(*args, "--overwrite") == 3
+    # a diverged run leaves its partial history and summary, not the old images
+    assert sorted(p.name for p in run_dir.iterdir()) == ["history.csv", "notes.txt",
+                                                         "summary.json"]
+
+
+def test_overwrite_with_a_maskless_run_drops_the_old_mask(tmp_path):
+    for experiment in ("inpaint", "deblur-1"):
+        (tmp_path / f"{experiment}.conf").write_text(
+            f"experiment = {experiment}\nname = same\nsize = 16\niterations = 5\n")
+        assert run_cli("run", "--config", str(tmp_path / f"{experiment}.conf"),
+                       "--out", str(tmp_path), "--overwrite") in (0, 1)
+    summary = json.loads((tmp_path / "same" / "summary.json").read_text())
+    assert summary["name"] == "deblur-uniform-tv"
+    assert not (tmp_path / "same" / "mask.pbm").exists()
+
+
 def test_duplicate_output_directories_rejected(tmp_path, capsys):
     cfg = tmp_path / "one.conf"
     cfg.write_text("experiment = inpaint\nsize = 32\n")
@@ -188,9 +216,15 @@ def test_config_file_drives_run(tmp_path):
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) in (0, 1)
     summary = json.loads((tmp_path / "smoke" / "summary.json").read_text())
     assert summary["name"] == "deblur-uniform-tv"
+    assert summary["formulation"] == "direct"
+    assert summary["penalty"] == "tv"
+    assert summary["sigma"] == 0.56
     assert summary["mu"] == 0.4
     assert summary["seed"] == 3
     assert summary["max_iterations"] == 25
+    # a blur samples no grid, so the run writes no mask
+    assert "mask" not in summary["files"]
+    assert not (tmp_path / "smoke" / "mask.pbm").exists()
 
 
 def test_cli_overrides_beat_config(tmp_path):
@@ -283,10 +317,34 @@ def test_output_root_that_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch
     assert str(out) in err and "Traceback" not in err
 
 
+def test_empty_output_root_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_solve(setup, **kwargs):
+        pytest.fail("a run started although --out is empty")
+
+    monkeypatch.setattr(harness, "run_experiment", no_solve)
+    monkeypatch.chdir(tmp_path)
+    code = run_cli("run", "--experiment", "inpaint", "--size", "16", "--out", "")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "empty" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_run_directory_is_that_runs_error(tmp_path, capsys):
     (tmp_path / "inpaint").touch()  # a file where the run's directory would go
     code = run_cli("run", "--experiment", "inpaint", "--size", "16", "--iterations", "5",
                    "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("inpaint: error: cannot write outputs:")
+    assert str(tmp_path / "inpaint") in err
+
+
+def test_unwritable_diverged_run_directory_is_that_runs_error(tmp_path, capsys,
+                                                              monkeypatch):
+    (tmp_path / "inpaint").touch()  # a file where the run's directory would go
+    monkeypatch.setattr(harness, "run_experiment", _explode)
+    code = run_cli("run", "--experiment", "inpaint", "--size", "16", "--out", str(tmp_path))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("inpaint: error: cannot write outputs:")
@@ -366,10 +424,7 @@ def test_divergence_exits_three_with_partial_outputs(tmp_path, capsys, monkeypat
 
 
 def test_diverged_summary_names_the_experiment_not_the_run(tmp_path, monkeypatch):
-    def explode(setup, **kwargs):
-        raise DivergenceError("non-finite u at iteration 1", history=[])
-
-    monkeypatch.setattr(harness, "run_experiment", explode)
+    monkeypatch.setattr(harness, "run_experiment", _explode)
     cfg = tmp_path / "boom.conf"
     cfg.write_text("experiment = inpaint\nname = boom\nsize = 32\n")
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 3

@@ -79,13 +79,11 @@ def test_inverse_quadratic_center_tap():
 
 
 def test_gaussian_kernel_properties():
-    k = make_blur_kernel("gaussian", variance=1.0)
+    k = make_blur_kernel("gaussian")
     np.testing.assert_array_equal(k, k[::-1, :])
     np.testing.assert_array_equal(k, k[:, ::-1])
     np.testing.assert_array_equal(k, k.T)
     assert np.argmax(k) == 4 * 9 + 4
-    flat = make_blur_kernel("gaussian", variance=3.0)
-    assert flat[0, 0] > k[0, 0]  # larger variance spreads mass outward
 
 
 @pytest.mark.parametrize("kind", ["uniform", "gaussian", "inverse_quadratic"])
@@ -96,12 +94,6 @@ def test_kernels_sum_to_one(kind):
 def test_kernel_validation():
     with pytest.raises(ValueError):
         make_blur_kernel("motion")
-    with pytest.raises(ValueError):
-        make_blur_kernel("uniform", support=8)
-    with pytest.raises(ValueError):
-        make_blur_kernel("uniform", support=-3)
-    with pytest.raises(ValueError):
-        make_blur_kernel("gaussian", variance=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +145,6 @@ def test_random_squares_dynamic_range():
     nonzero = img[img > 0]
     assert img.max() == 100.0  # 40 dB above the dimmest amplitude
     assert nonzero.min() == 1.0
-    flat = random_squares(128, dynamic_range_db=0.0, seed=0)
-    assert set(np.unique(flat)) == {0.0, 1.0}
     assert (img == 0).mean() > 0.1  # background survives
 
 
@@ -216,7 +206,7 @@ def test_instances_are_reproducible_per_seed():
     p = fourier_phantom_instance(size=32, lines=8, seed=2)
     q = fourier_phantom_instance(size=32, lines=8, seed=2)
     np.testing.assert_array_equal(p.observation, q.observation)
-    np.testing.assert_array_equal(p.extras["mask"], q.extras["mask"])
+    np.testing.assert_array_equal(p.operator.mask, q.operator.mask)
 
     s = fourier_squares_instance(size=32, lines=8, seed=2)
     t = fourier_squares_instance(size=32, lines=8, seed=2)
@@ -224,7 +214,7 @@ def test_instances_are_reproducible_per_seed():
 
     i1 = inpainting_instance(size=32, seed=9)
     i2 = inpainting_instance(size=32, seed=9)
-    np.testing.assert_array_equal(i1.extras["mask"], i2.extras["mask"])
+    np.testing.assert_array_equal(i1.operator.mask, i2.operator.mask)
     np.testing.assert_array_equal(i1.observation, i2.observation)
 
 
@@ -235,23 +225,23 @@ def test_deblur_instance_contents():
     assert inst.epsilon == epsilon_rule(32 * 32, 0.56)
     assert inst.sigma == 0.56
     np.testing.assert_array_equal(inst.degraded, inst.observation)
-    assert inst.extras["kernel"].shape == (9, 9)
+    assert inst.operator.kernel.shape == (9, 9)
 
 
 def test_phantom_instance_contents():
     inst = fourier_phantom_instance(size=32, lines=8, seed=0)
-    m = int(inst.extras["mask"].sum())
+    m = int(inst.operator.mask.sum())
     assert inst.operator.m == m
     assert inst.observation.shape == (m,)
     assert np.iscomplexobj(inst.observation)
     assert inst.epsilon == epsilon_rule(m, inst.sigma)
     assert inst.degraded.shape == (32, 32)
-    assert inst.extras["lines"] == 8
+    np.testing.assert_array_equal(inst.operator.mask, radial_mask(32, 8))
 
 
 def test_inpainting_noise_level_follows_snr_rule():
     inst = inpainting_instance(size=64, seed=1)
-    observed = inst.extras["mask"]
+    observed = inst.operator.mask
     clean = inst.operator.forward(inst.truth)
     expected_sigma = math.sqrt(float(np.mean(clean**2)) * 1e-4)
     assert np.isclose(inst.sigma, expected_sigma, rtol=1e-12)
@@ -274,7 +264,7 @@ def test_fourier_instances_keep_data_and_back_project_to_real(factory, noise_see
     # so the observation and epsilon are those of the complex operator, and
     # the degraded image is the real part of its back-projection
     inst = factory(size=32, lines=8, seed=0)
-    complex_op = PartialFourier(inst.extras["mask"])
+    complex_op = PartialFourier(inst.operator.mask)
     y = add_noise(complex_op.forward(inst.truth), inst.sigma, noise_seed)
     np.testing.assert_array_equal(inst.observation, y)
     assert inst.epsilon == epsilon_rule(complex_op.m, inst.sigma)
@@ -417,11 +407,11 @@ def test_size_none_means_128_and_other_sizes_reach_the_scene_generator():
 
 def test_build_experiment_overrides():
     setup = build_experiment("mri", size=32, lines=6, mu=9.0, iterations=42)
-    assert setup.instance.extras["lines"] == 6
+    np.testing.assert_array_equal(setup.instance.operator.mask, radial_mask(32, 6))
     assert setup.config.mu == 9.0
     assert setup.config.max_iterations == 42
     setup = build_experiment("deblur-1", size=32, kernel="gaussian", sigma=1.5)
-    kernel = setup.instance.extras["kernel"]
+    kernel = setup.instance.operator.kernel
     assert kernel.shape == (9, 9)
     assert not np.all(kernel == kernel[0, 0])  # gaussian, not the uniform box
     assert setup.instance.sigma == 1.5
@@ -444,7 +434,7 @@ def test_blur_class_table():
 def test_run_experiment_report_fields():
     setup = build_experiment("mri", size=32, lines=8, iterations=40)
     report = run_experiment(setup)
-    assert report.name == "mri"
+    assert report.setup.name == "mri"
     assert report.status in ("converged", "exhausted")
     assert 1 <= report.iterations <= 40
     assert len(report.history) == report.iterations

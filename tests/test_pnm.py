@@ -99,28 +99,19 @@ def test_pbm_read_validates(tmp_path):
 
 def test_quantize_endpoints_and_clipping():
     img = np.array([[0.0, 0.5], [1.0, 2.0]])
-    q, lo, hi = pnm.quantize_u16(img, vmin=0.0, vmax=1.0)
+    q = pnm.quantize_u16(img, 0.0, 1.0)
     assert q.dtype == np.uint16
     assert q[0, 0] == 0
     assert q[1, 0] == 65535
     assert q[1, 1] == 65535  # clipped, not wrapped
     assert q[0, 1] == round(0.5 * 65535)
-    assert (lo, hi) == (0.0, 1.0)
-
-
-def test_quantize_uses_image_range_by_default():
-    img = np.array([[-2.0, 6.0]])
-    q, lo, hi = pnm.quantize_u16(img)
-    assert (lo, hi) == (-2.0, 6.0)
-    assert q[0, 0] == 0 and q[0, 1] == 65535
 
 
 def test_quantize_constant_image_maps_to_zero():
-    q, lo, hi = pnm.quantize_u16(np.full((3, 3), 7.0))
+    q = pnm.quantize_u16(np.full((3, 3), 7.0), 7.0, 7.0)
     assert np.all(q == 0)
-    assert lo == hi == 7.0
 
 
 def test_quantize_rejects_non_finite():
     with pytest.raises(ValueError):
-        pnm.quantize_u16(np.array([[np.nan, 1.0]]))
+        pnm.quantize_u16(np.array([[np.nan, 1.0]]), 0.0, 1.0)

@@ -357,7 +357,7 @@ def _synthesis_instance(kind):
     else:
         inst = fourier_phantom_instance(size=32, lines=10, seed=0)
         if kind == "fourier":  # the complex-image operator on the same samples
-            return PartialFourier(inst.extras["mask"]), inst.observation, inst.epsilon
+            return PartialFourier(inst.operator.mask), inst.observation, inst.epsilon
     return inst.operator, inst.observation, inst.epsilon
 
 

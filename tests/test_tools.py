@@ -85,3 +85,25 @@ def test_bench_rejects_missing_out_directory_before_any_solve(tmp_path, monkeypa
         bench.main(["--size", "16", "--no-perfbench",
                     "--out", str(tmp_path / "missing" / "b.json")])
     assert exc.value.code == 2
+
+
+def test_bench_names_failed_perfbench_runs_and_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench = load_tool("bench")
+    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(bench, "experiment_names", lambda: [])  # no catalog solves
+    monkeypatch.setattr(bench, "SWEEP", ())
+
+    def fake_perfbench(argv, **kwargs):  # perfbench exits 1 when a solve fails its checks
+        failed = "mri" in argv
+        return subprocess.CompletedProcess(
+            argv, int(failed), json.dumps({"correct": not failed, "metrics": {}}) + "\n", "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_perfbench)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--size", "16", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())  # written all the same
+    assert len(data["perfbench"]) == 8
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert "mri --trace 0" in err[0] and "mri --trace 1" in err[1]

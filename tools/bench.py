@@ -13,7 +13,9 @@ The file holds:
   changes trade one for the other;
 - ``perfbench``: the final JSON line of ``perfbench/run.py --trace 0`` and
   ``--trace 1`` on each of its four workloads, at its default seed and run
-  length, and its ``kernel_ms``.
+  length, and its ``kernel_ms``.  The file is written either way, but the
+  tool exits 1 and names each ``perfbench`` run that reports
+  ``"correct": false`` on stderr.
 
 Wall times are raw.  ``kernel_ms`` is the median time of ``perfbench``'s
 fixed reference kernel (``SpeedProbe.kernel``), timed before the first solve
@@ -161,7 +163,10 @@ def main(argv=None):
     }
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     print(out)
-    return 0
+    failed = [key for key, entry in bench["perfbench"].items() if not entry["correct"]]
+    for key in failed:
+        print(f"perfbench {key}: a solve failed its checks", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
