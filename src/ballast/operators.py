@@ -26,6 +26,13 @@ def _check_shape(x, shape, what):
         raise ValueError(f"{what} has shape {np.shape(x)}, expected {tuple(shape)}")
 
 
+def _check_real_image(x, shape, what):
+    _check_shape(x, shape, what)
+    if np.iscomplexobj(x):
+        raise ValueError(f"complex {what}: RealPartialFourier's domain is real images; "
+                         "use PartialFourier for complex ones")
+
+
 class LinearOperator:
     """Base class; concrete operators fill in the three applications.
 
@@ -203,30 +210,68 @@ class PartialFourier(_Sampling):
         return r - 0.5 * np.fft.ifft2(spectrum, norm="ortho")
 
 
-class RealPartialFourier(PartialFourier):
+class RealPartialFourier(_Sampling):
     """Partial Fourier sampling of a real image: a real-linear map ``R^n -> C^m``.
 
-    ``forward`` is ``PartialFourier``'s.  Under the real inner product
-    ``Re<y, Bx>`` on ``C^m`` the adjoint is ``Re(F^H S^T r)``, so the solver's
-    image stays real.  A real image has a Hermitian spectrum, which makes
-    ``B^T B = F^H diag(W) F`` with ``W = (P + P~) / 2``: the mask ``P``
-    averaged with its point reflection ``P~[k] = P[-k]``.  ``W`` is real and
-    point-symmetric, so ``(I + B^T B)^{-1}`` is a real filter, applied with
-    the ``rfft2`` half spectrum as ``CircularConvolution`` applies its own.
+    ``forward`` gives ``PartialFourier``'s samples.  Under the real inner
+    product ``Re<y, Bx>`` on ``C^m`` the adjoint is ``Re(F^H S^T r)``, so the
+    solver's image stays real.  A real image has a Hermitian spectrum,
+    ``X[-k] = conj(X[k])``, so every map works on the ``rfft2`` half
+    spectrum (columns below ``w // 2 + 1``), through flat positions of each
+    sample ``k`` and its reflection ``-k`` fixed here:
+
+    - ``forward`` reads a ``k`` past the half spectrum as ``conj(X[-k])``;
+    - ``adjoint`` puts the Hermitian part ``(z[k] + conj(z[-k])) / 2`` of
+      ``z = S^T r`` on the half spectrum, which ``irfft2`` maps to
+      ``Re(F^H z)``;
+    - ``B^T B = F^H diag(W) F`` with ``W = (P + P~) / 2``: the mask ``P``
+      averaged with its point reflection ``P~[k] = P[-k]``, the same two
+      sets of positions.  ``W`` is real and point-symmetric, so
+      ``(I + B^T B)^{-1}`` is a real filter, applied as
+      ``CircularConvolution`` applies its own.
+
+    The domain is real images; complex input raises ``ValueError``.
     """
+
+    out_dtype = np.complex128
+    what = "frequencies"
 
     def __init__(self, mask):
         super().__init__(mask)
-        half = self.in_shape[1] // 2 + 1
-        reflected = np.roll(self.mask[::-1, ::-1], (1, 1), axis=(0, 1))[:, :half]
-        weight = 0.5 * (self.mask[:, :half] + reflected.astype(np.float64))
-        self._inverse_response = 1.0 / (1.0 + weight)
+        h, w = self.in_shape
+        half = w // 2 + 1
+        rows, cols = np.divmod(self.index, w)
+        mirror_cols = -cols % w
+        at = rows * half + cols
+        mirror_at = (-rows % h) * half + mirror_cols
+        # a position exists where its column is below half
+        self._flip = cols >= half
+        self._read = np.where(self._flip, mirror_at, at)
+        self._direct = np.flatnonzero(~self._flip).astype(self.index.dtype)
+        self._direct_at = at[self._direct]
+        self._mirror = np.flatnonzero(mirror_cols < half).astype(self.index.dtype)
+        self._mirror_at = mirror_at[self._mirror]
+        weight = np.zeros(h * half)
+        weight[self._direct_at] = 0.5
+        weight[self._mirror_at] += 0.5
+        self._inverse_response = (1.0 / (1.0 + weight)).reshape(h, half)
+
+    def forward(self, x):
+        _check_real_image(x, self.in_shape, "image")
+        out = np.fft.rfft2(x, norm="ortho").ravel().take(self._read)
+        return np.conjugate(out, out=out, where=self._flip)
 
     def adjoint(self, r):
-        return super().adjoint(r).real
+        _check_shape(r, self.out_shape, "observation")
+        r = 0.5 * np.asarray(r)
+        spectrum = np.zeros(self._inverse_response.shape, dtype=np.complex128)
+        flat = spectrum.reshape(-1)
+        flat[self._direct_at] = r.take(self._direct)
+        flat[self._mirror_at] += np.conjugate(r.take(self._mirror))
+        return np.fft.irfft2(spectrum, s=self.in_shape, norm="ortho")
 
     def shifted_normal_inverse(self, r):
-        _check_shape(r, self.in_shape, "input")
+        _check_real_image(r, self.in_shape, "input")
         return np.fft.irfft2(np.fft.rfft2(r) * self._inverse_response, s=self.in_shape)
 
 

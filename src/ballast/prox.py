@@ -121,16 +121,18 @@ def tv_prox(v, tau, iterations=10, dual_step=0.125, dual=None):
         np.add(div, weight, out=div)
         if k == iterations:
             break
+        # the step scales (div - v/tau) once, so g and the weight come out
+        # scaled by it; at a power-of-two step the bits are those of scaling
+        # g and |g| apart
         np.subtract(div, vt, out=div)
+        np.multiply(div, dual_step, out=div)
         np.subtract(div[1:], div[:-1], out=g[0, :-1])
         g[0, w - 1::w] = 0.0
         np.subtract(div[w:], div[:-w], out=g[1, :-w])
         np.multiply(g, g, out=work)
         np.add(weight, div, out=weight)
         np.sqrt(weight, out=weight)
-        np.multiply(weight, dual_step, out=weight)
         np.add(weight, 1.0, out=weight)
-        np.multiply(g, dual_step, out=g)
         np.add(p, g, out=p)
         np.divide(p, weight, out=p)
     np.multiply(div, tau, out=div)

@@ -262,14 +262,18 @@ def test_truth_is_feasible_under_epsilon_rule(seed):
 def test_fourier_instances_keep_data_and_back_project_to_real(factory, noise_seed):
     # the real-image operator samples the same frequencies as PartialFourier,
     # so the observation and epsilon are those of the complex operator, and
-    # the degraded image is the real part of its back-projection
+    # the degraded image is the real part of its back-projection; its
+    # rfft2 half-spectrum transforms round differently from fft2 and ifft2,
+    # so the back-projection is pinned relative to its largest pixel: some
+    # pixels are near zero
     inst = factory(size=32, lines=8, seed=0)
     complex_op = PartialFourier(inst.operator.mask)
     y = add_noise(complex_op.forward(inst.truth), inst.sigma, noise_seed)
-    np.testing.assert_array_equal(inst.observation, y)
+    np.testing.assert_allclose(inst.observation, y, rtol=1e-13)
     assert inst.epsilon == epsilon_rule(complex_op.m, inst.sigma)
     assert inst.degraded.dtype == np.float64
-    np.testing.assert_array_equal(inst.degraded, complex_op.adjoint(y).real)
+    back = complex_op.adjoint(y).real
+    np.testing.assert_allclose(inst.degraded, back, rtol=0, atol=1e-13 * np.abs(back).max())
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -14,6 +14,7 @@ from ballast import (
     CountingOperator,
     PartialFourier,
     PixelMask,
+    RealPartialFourier,
     SynthesisOperator,
     UndecimatedHaar,
     add_noise,
@@ -191,6 +192,17 @@ def test_shape_mismatch_raises():
             op.forward(bad)
         with pytest.raises(ValueError):
             op.adjoint(np.zeros(999))
+
+
+def test_real_fourier_rejects_complex_images():
+    # the real-linear operator's domain is real images; a complex one is an
+    # error that names that domain, not a silently dropped imaginary part
+    op = RealPartialFourier(sample_operators()[2].mask)
+    image = np.ones(op.in_shape) + 1j
+    for apply in (op.forward, op.shifted_normal_inverse):
+        with pytest.raises(ValueError, match="domain is real images"):
+            apply(image)
+    assert op.forward(image.real).shape == op.out_shape
 
 
 def test_zero_sum_kernel_rejected():

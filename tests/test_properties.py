@@ -6,10 +6,11 @@ kernels and random non-empty masks, and check the identities the solver
 relies on: adjoints, the shifted-normal inverse ``(I + A^H A) u = r``, the
 Parseval round trip of both Haar frames, and the ball projection.  The
 real-image Fourier operator's real adjoint and inverse are checked on masks
-that are not point-symmetric.  The undecimated Haar transforms are also
-pinned bit for bit to an ``np.roll`` reference, the real-FFT convolution
-to a full complex-FFT reference, the TV prox to the straightforward 2-D
-Chambolle loop it replaced, the flat-index sampling operators, the TV
+that are not point-symmetric, and its half-spectrum forward and adjoint
+against the complex operator's full transforms.  The undecimated Haar
+transforms are also pinned bit for bit to an ``np.roll`` reference, the
+real-FFT convolution to a full complex-FFT reference, the TV prox to the
+straightforward 2-D Chambolle loop it replaced, the flat-index sampling operators, the TV
 norm and the MSE to the boolean-mask and ``np.diff`` formulas they replaced,
 and the in-place real soft threshold to ``v - clip(v, -tau, tau)``.  The
 record's block reductions (``l2_distance``, ``L1Norm.evaluate``) are checked
@@ -162,6 +163,27 @@ def test_real_fourier_adjoint_identity(case):
     assert back.dtype == np.float64
     lhs = np.vdot(y, op.forward(x)).real
     assert abs(lhs - np.vdot(back, x)) <= 1e-10 * norm(x) * norm(y)
+
+
+@PROPERTY
+@given(real_fourier_operators())
+def test_real_fourier_matches_the_complex_operator(case):
+    # the half-spectrum forward and adjoint against PartialFourier's full
+    # complex transforms, on a mask that also samples DC and, on an even
+    # width, a frequency of the Nyquist column
+    op, rng = case
+    mask = op.mask.copy()
+    h, w = mask.shape
+    mask[0, 0] = True
+    if w % 2 == 0:
+        mask[int(rng.integers(h)), w // 2] = True
+    op, full = RealPartialFourier(mask), PartialFourier(mask)
+    x = random_element(rng, op.in_shape)
+    y = random_element(rng, op.out_shape, np.complex128)
+    for got, want in [(op.forward(x), full.forward(x)),
+                      (op.adjoint(y), full.adjoint(y).real)]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert norm(got - want) <= 1e-13 * norm(want)
 
 
 @PROPERTY
