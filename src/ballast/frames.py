@@ -14,8 +14,6 @@ import numpy as np
 
 __all__ = ["OrthogonalHaar", "UndecimatedHaar"]
 
-_SQRT2 = np.sqrt(2.0)
-
 
 class OrthogonalHaar:
     """Decimated separable 2D Haar transform over ``levels`` scales.
@@ -32,9 +30,7 @@ class OrthogonalHaar:
             raise ValueError("levels must be >= 1")
         div = 1 << levels
         if h % div or w % div:
-            raise ValueError(
-                f"image shape {image_shape} not divisible by 2^{levels}"
-            )
+            raise ValueError(f"image shape {image_shape} not divisible by 2^{levels}")
         self.image_shape = (h, w)
         self.levels = levels
         self.coefficient_length = h * w
@@ -44,21 +40,11 @@ class OrthogonalHaar:
         if x.shape != self.image_shape:
             raise ValueError(f"image has shape {x.shape}, expected {self.image_shape}")
         work = x.astype(np.promote_types(x.dtype, np.float64), copy=True)
-        h, w = self.image_shape
-        for _ in range(self.levels):
-            a = work[:h, :w]
-            lo = (a[:, 0::2] + a[:, 1::2]) / _SQRT2
-            hi = (a[:, 0::2] - a[:, 1::2]) / _SQRT2
-            ll = (lo[0::2, :] + lo[1::2, :]) / _SQRT2
-            lh = (lo[0::2, :] - lo[1::2, :]) / _SQRT2
-            hl = (hi[0::2, :] + hi[1::2, :]) / _SQRT2
-            hh = (hi[0::2, :] - hi[1::2, :]) / _SQRT2
-            h2, w2 = h // 2, w // 2
-            work[:h2, :w2] = ll
-            work[:h2, w2:w] = hl
-            work[h2:h, :w2] = lh
-            work[h2:h, w2:w] = hh
-            h, w = h2, w2
+        H, W = self.image_shape
+        for s in range(self.levels):
+            block = work[:H >> s, :W >> s]
+            for quadrant, value in zip(_quadrants(block), _butterfly(*_cells(block))):
+                quadrant[...] = value
         return work.ravel()
 
     def synthesis(self, coefficients):
@@ -69,27 +55,35 @@ class OrthogonalHaar:
                 f"expected ({self.coefficient_length},)"
             )
         H, W = self.image_shape
-        work = coefficients.astype(
-            np.promote_types(coefficients.dtype, np.float64), copy=True
-        ).reshape(H, W)
-        sizes = [(H >> s, W >> s) for s in range(self.levels, 0, -1)]
-        for h2, w2 in sizes:
-            h, w = 2 * h2, 2 * w2
-            ll = work[:h2, :w2]
-            hl = work[:h2, w2:w]
-            lh = work[h2:h, :w2]
-            hh = work[h2:h, w2:w]
-            lo = np.empty((h, w2), dtype=work.dtype)
-            hi = np.empty((h, w2), dtype=work.dtype)
-            lo[0::2, :] = (ll + lh) / _SQRT2
-            lo[1::2, :] = (ll - lh) / _SQRT2
-            hi[0::2, :] = (hl + hh) / _SQRT2
-            hi[1::2, :] = (hl - hh) / _SQRT2
-            block = np.empty((h, w), dtype=work.dtype)
-            block[:, 0::2] = (lo + hi) / _SQRT2
-            block[:, 1::2] = (lo - hi) / _SQRT2
-            work[:h, :w] = block
+        dtype = np.promote_types(coefficients.dtype, np.float64)
+        work = coefficients.astype(dtype, copy=True).reshape(H, W)
+        # the 2x2 map is symmetric and its own inverse: the quadrants go back
+        # to the cells through the same butterfly, coarsest level first
+        for s in range(self.levels - 1, -1, -1):
+            block = work[:H >> s, :W >> s]
+            for cell, value in zip(_cells(block), _butterfly(*_quadrants(block))):
+                cell[...] = value
         return work
+
+
+def _cells(block):
+    """The views of each 2x2 cell's four entries, in row-major order."""
+    return block[0::2, 0::2], block[0::2, 1::2], block[1::2, 0::2], block[1::2, 1::2]
+
+
+def _quadrants(block):
+    """The four quadrants of ``block``: approximation, then the details."""
+    h, w = block.shape[0] // 2, block.shape[1] // 2
+    return block[:h, :w], block[:h, w:], block[h:, :w], block[h:, w:]
+
+
+def _butterfly(a, b, c, d):
+    """The orthonormal 2x2 Haar map of the cell ``[[a, b], [c, d]]``: its
+    scaled sum and its differences across columns, rows and the diagonal.
+    The map's matrix is symmetric and orthogonal, so it is its own inverse."""
+    ab, cd = a + b, c + d
+    a_b, c_d = a - b, c - d
+    return (ab + cd) / 2, (a_b + c_d) / 2, (ab - cd) / 2, (a_b - c_d) / 2
 
 
 class UndecimatedHaar:

@@ -26,7 +26,7 @@ from .operators import (
     RealPartialFourier,
     add_noise,
 )
-from .prox import IsotropicTV, L1Norm, l2_norm, mse
+from .prox import IsotropicTV, L1Norm, l2_distance, l2_norm, mse
 from .solver import SolverConfig, solve
 
 __all__ = [
@@ -127,11 +127,13 @@ def radial_mask(n, lines):
     dominant axis one pixel at a time in the centered plane, then the mask is
     symmetrized under point reflection about DC (so real images keep real
     shifted-normal products) and returned in standard FFT index order.
+    ``lines`` is at most ``4 * n``: from about ``3.2 * n`` lines on the mask
+    holds every frequency, and the loop runs once per line.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if lines < 1:
-        raise ValueError(f"lines must be >= 1, got {lines}")
+    if not 1 <= lines <= 4 * n:
+        raise ValueError(f"lines must be between 1 and 4 * n = {4 * n}, got {lines}")
     center = n // 2
     mask = np.zeros((n, n), dtype=bool)
     offsets = np.arange(n) - center
@@ -197,7 +199,7 @@ def relative_error(estimate, truth):
     denom = l2_norm(truth)
     if denom == 0:
         raise ValueError("truth has zero norm")
-    return l2_norm(estimate - truth) / denom
+    return l2_distance(estimate, truth) / denom
 
 
 def isnr(degraded, estimate, truth):
@@ -395,10 +397,11 @@ EXPERIMENTS = {
     "squares": _Experiment(fourier_squares_instance, "direct", IsotropicTV, 5.0),
     "inpaint": _Experiment(inpainting_instance, "direct", IsotropicTV, 0.05),
 }
-# at the analysis default 1.0, and at 1.5, this run's objective rises after
-# iteration 10 (63 and 12 increases), which criterion 8 of the acceptance
-# tests forbids
+# at the analysis default 1.0 the objective rises after iteration 10, which
+# criterion 8 of the acceptance tests forbids: on deblur-uniform-ana at seed 0
+# (63 times; 12 at 1.5), on deblur-iq-lo-ana at 10 of seeds 0-15 (none at 1.5)
 EXPERIMENTS["deblur-uniform-ana"] = EXPERIMENTS["deblur-uniform-ana"]._replace(mu=2.0)
+EXPERIMENTS["deblur-iq-lo-ana"] = EXPERIMENTS["deblur-iq-lo-ana"]._replace(mu=1.5)
 
 # smallest image side any catalog run takes: the cartoon and squares scenes
 # need 16 pixels, and one floor for every run keeps --size uniform

@@ -1,7 +1,8 @@
 """Proximal maps and penalty functions: soft thresholding, isotropic total
 variation via Chambolle's dual fixed point, and Euclidean ball projection;
-also the norms the solver's per-iteration record reads (``l2_norm``,
-``l2_distance``, ``mse``).
+also the norms the solver's stop rule and record read (``l2_norm`` of one
+array; ``l2_distance`` and ``mse``, both from ``squared_distance``'s block
+sum, of two).
 
 Every prox here is nonexpansive and deterministic; the solver relies on both.
 """
@@ -21,7 +22,7 @@ __all__ = [
     "IsotropicTV",
 ]
 
-# Elements per block of the blocked reductions (``l2_distance``,
+# Elements per block of the blocked reductions (``squared_distance``,
 # ``L1Norm.evaluate``): their one reused buffer, 256 KiB for real input,
 # stays in the L2 cache, and is under a quarter of a 13-band coefficient
 # array from 128x128 up.
@@ -148,15 +149,16 @@ def l2_norm(a):
     return float(np.sqrt(np.einsum("i,i->", a, a)))
 
 
-def l2_distance(a, b):
-    """``l2_norm(a - b)`` without an array-sized temporary.
+def squared_distance(a, b):
+    """``l2_norm(a - b) ** 2`` without an array-sized temporary.
 
     The difference is formed ``BLOCK`` elements at a time in one reused
     float64 buffer (complex128 for complex input), and each block's squares
     are summed by an einsum reduction, over interleaved real and imaginary
-    parts as in ``l2_norm``.  Block sums are not one pairwise sum, so the
-    result can differ from ``l2_norm(a - b)`` in the last digits.  Input
-    that is not C-contiguous is copied by ``np.ravel``.
+    parts as in ``l2_norm``.  Up to ``BLOCK`` elements that is the sum
+    ``l2_norm`` takes; past it, block sums are not one reduction, so the
+    result can differ in the last digits.  Input that is not C-contiguous is
+    copied by ``np.ravel``.
     """
     a, b = np.ravel(a), np.ravel(b)
     if a.shape != b.shape:
@@ -168,23 +170,22 @@ def l2_distance(a, b):
                         dtype=buf.dtype)
         d = d.view(d.real.dtype)
         total += float(np.einsum("i,i->", d, d))
-    return math.sqrt(total)
+    return total
+
+
+def l2_distance(a, b):
+    """``l2_norm(a - b)`` by ``squared_distance``'s block sum."""
+    return math.sqrt(squared_distance(a, b))
 
 
 def mse(a, b):
-    """Mean squared error; complex differences use squared magnitude.
-
-    The same bits as ``np.mean(np.abs(a - b) ** 2)``, from one array-sized
-    temporary for real input, which is freed on return.
-    """
+    """Mean squared error, ``squared_distance(a, b) / a.size``; complex
+    differences use squared magnitude."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    if np.iscomplexobj(d):
-        d = np.abs(d)
-    return float(np.mean(np.multiply(d, d, out=d)))
+    return squared_distance(a, b) / a.size
 
 
 class BallConstraint:

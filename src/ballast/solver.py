@@ -320,12 +320,12 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
             raise
         hu0, hu1 = state.hu
         # the first u-update may return x0 itself: no change is measured at k = 1
-        change = (l2_norm(state.x - previous) / max(l2_norm(state.x), 1e-300)
+        change = (l2_distance(state.x, previous) / max(l2_norm(state.x), 1e-300)
                   if state.k >= 2 else float("nan"))
         record = IterationRecord(
             k=state.k,
             objective=float("nan"),
-            constraint_norm=l2_norm(hu1 - y),
+            constraint_norm=l2_distance(hu1, y),
             primal_residual=float("nan"),
             wall_time=float("nan"),
             relative_change=change,

@@ -124,6 +124,8 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, experiment):
     "experiment,flag,value,fragment",
     [pytest.param("inpaint", "--size", "0", "'size'", id="--size-0-'size'"),
      pytest.param("inpaint", "--lines", "0", "'lines'", id="--lines-0-'lines'"),
+     pytest.param("mri", "--lines", "1000000000", "4 * n = 512",
+                  id="mri---lines-1e9-bound"),
      pytest.param("inpaint", "--kernel", "gaussian", "'kernel'",
                   id="--kernel-gaussian-'kernel'"),
      pytest.param("mri", "--size", "8", "'size'", id="mri---size-8-'size'"),

@@ -138,6 +138,16 @@ def test_radial_mask_validation():
         radial_mask(1, 4)
     with pytest.raises(ValueError):
         radial_mask(64, 0)
+    with pytest.raises(ValueError, match=r"4 \* n = 64, got 65"):
+        radial_mask(16, 65)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_radial_mask_line_bound_keeps_every_mask(n):
+    # the loop runs once per line, so lines is bounded; from about 3.2 * n
+    # lines on the mask holds every frequency, so the bound 4 * n loses none
+    assert radial_mask(n, 4 * n).all()
+    assert all(radial_mask(n, lines).all() for lines in range(int(3.2 * n), 4 * n + 1))
 
 
 def test_random_squares_dynamic_range():
@@ -314,7 +324,7 @@ def test_build_experiment_resolves_aliases():
     assert setup.formulation == "analysis"
     assert setup.penalty.kind == "l1"
     assert setup.frame is not None
-    assert setup.config.mu == 1.0
+    assert setup.config.mu == 1.5
     setup = build_experiment("deblur-1", size=32)
     assert setup.name == "deblur-uniform-tv"
     assert setup.formulation == "direct"
@@ -337,7 +347,7 @@ _CATALOG = {
     "deblur-uniform-ana": ("analysis", "l1", None, 4, 2.0, _OBS, 0.56, _EPS_UNIFORM),
     "deblur-gauss-lo-ana": ("analysis", "l1", None, 4, 1.0, _OBS, _SQ2, _EPS_LO),
     "deblur-gauss-hi-ana": ("analysis", "l1", None, 4, 1.0, _OBS, _SQ8, _EPS_HI),
-    "deblur-iq-lo-ana": ("analysis", "l1", None, 4, 1.0, _OBS, _SQ2, _EPS_LO),
+    "deblur-iq-lo-ana": ("analysis", "l1", None, 4, 1.5, _OBS, _SQ2, _EPS_LO),
     "deblur-iq-hi-ana": ("analysis", "l1", None, 4, 1.0, _OBS, _SQ8, _EPS_HI),
     "deblur-uniform-tv": ("direct", "tv", 3, None, 0.5, _OBS, 0.56, _EPS_UNIFORM),
     "deblur-gauss-lo-tv": ("direct", "tv", 3, None, 0.5, _OBS, _SQ2, _EPS_LO),
@@ -474,6 +484,22 @@ def test_operator_call_counts_scale_with_iterations():
     assert short.iterations == 10 and long.iterations == 25
     assert long.forward_calls - short.forward_calls == 15
     assert long.adjoint_calls - short.adjoint_calls == 15
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_deblur_iq_lo_ana_keeps_criterion_8_off_the_gate_seed(seed):
+    # criterion 8's per-run check (tests/test_acceptance.py), which the gate
+    # runs at seed 0 only: at mu 1.0 the objective rose after iteration 10
+    # at these noise seeds (2, 1 and 17 times)
+    report = run_experiment(build_experiment("deblur-iq-lo-ana", seed=seed))
+    phi = np.array([rec.objective for rec in report.history])
+    con = np.array([rec.constraint_norm for rec in report.history])
+    tail = phi[10:]
+    assert report.status == "converged"
+    assert report.final_constraint_norm <= 1.01 * report.epsilon
+    assert con.min() <= report.epsilon
+    assert int(np.sum(tail[1:] > tail[:-1] * (1 + 1e-12))) == 0
+    assert report.iterations <= 3 * 42  # 3x the reference count
 
 
 def test_run_experiment_with_history_off_reports_the_final_record(monkeypatch):

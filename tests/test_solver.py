@@ -117,14 +117,15 @@ def test_dual_update_identity_recomputes_bitwise():
     # v and the dual d from before the step, and the dual update is v_new - w;
     # the synthesis formulation forms its penalty block's w from the
     # u-update's correction c = W^H (x - W s), s = v + d, as (c - d)(alpha - 1)
-    # + u, which is the same point at alpha = 1.5, since u - v = d + c
+    # + u, which is the same point at alpha = 1.5, since u - v = d + c; the
+    # analysis formulation's Hu is the frame analysis of the image
     inst = deblur_instance("uniform", 0.56, size=16, seed=3)
     op = inst.operator
     ball = BallConstraint(inst.observation, inst.epsilon)
     alpha = ballast.solver.RELAXATION
-    for formulation in ("direct", "synthesis"):
+    for formulation in ("direct", "synthesis", "analysis"):
         frame, state = None, zero_state(op)
-        if formulation == "synthesis":
+        if formulation != "direct":
             frame = UndecimatedHaar(op.in_shape, levels=2)
             state = zero_state(op, (frame.coefficient_length,))
         for _ in range(6):
@@ -141,10 +142,16 @@ def test_dual_update_identity_recomputes_bitwise():
                 w0 = correction - d_old[0]
                 w0 *= alpha - 1.0
                 w0 += hu0
+            elif formulation == "analysis":
+                x = op.shifted_normal_inverse(frame.synthesis(v_old[0] + d_old[0])
+                                              + op.adjoint(v_old[1] + d_old[1]))
+                hu0 = frame.analysis(x)
+                w0 = relaxed_prox_input(hu0, v_old[0], d_old[0])
             else:
                 x = hu0 = state.u
                 w0 = relaxed_prox_input(hu0, v_old[0], d_old[0])
             np.testing.assert_array_equal(state.x, x)
+            np.testing.assert_array_equal(state.u, hu0 if formulation == "synthesis" else x)
             hu1 = op.forward(x)
             w1 = relaxed_prox_input(hu1, v_old[1], d_old[1])
             for j, (hu, w) in enumerate([(hu0, w0), (hu1, w1)]):
@@ -174,7 +181,7 @@ class ViewPenalty:
 
 @pytest.mark.parametrize("view", [lambda v: v, lambda v: v[...], lambda v: v[::-1]],
                          ids=["itself", "view", "reversed"])
-@pytest.mark.parametrize("formulation", ["direct", "synthesis"])
+@pytest.mark.parametrize("formulation", ["direct", "synthesis", "analysis"])
 def test_dual_update_is_fresh_when_the_prox_returns_its_input(view, formulation):
     # the dual is written into the prox input w only when the prox output
     # shares no memory with it; otherwise v[0] would be overwritten
@@ -182,7 +189,7 @@ def test_dual_update_is_fresh_when_the_prox_returns_its_input(view, formulation)
     op = inst.operator
     ball = BallConstraint(inst.observation, inst.epsilon)
     frame, state = None, zero_state(op)
-    if formulation == "synthesis":
+    if formulation != "direct":
         frame = UndecimatedHaar(op.in_shape, levels=2)
         state = zero_state(op, (frame.coefficient_length,))
     penalty = ViewPenalty(view)

@@ -59,10 +59,12 @@ def test_bench_writes_catalog_and_sweep(tmp_path, monkeypatch, capsys):
             assert 1 <= run["iterations"] and run["wall_s"] > 0 and run["ms_per_iter"] > 0
             assert run["rel_error"] > 0 and run["status"] in ("converged", "exhausted")
             assert run["kernel_ms"] > 0 and run["peak_mem_mb"] > 0
-            assert len(run["digest"]) == 16 and int(run["digest"], 16) >= 0
+            for key in ("digest", "history_digest"):
+                assert len(run[key]) == 16 and int(run[key], 16) >= 0
     # the same run at the same size gives the same bits wherever it appears
-    assert (data["catalog"]["deblur-uniform-tv"]["digest"]
-            == data["sweep"]["deblur-uniform-tv"]["16"]["digest"])
+    for key in ("digest", "history_digest"):
+        assert (data["catalog"]["deblur-uniform-tv"][key]
+                == data["sweep"]["deblur-uniform-tv"]["16"][key])
     # the traced peak grows with the image: a 64^2 solve holds more than a 16^2 one
     sweep = data["sweep"]["deblur-uniform-tv"]
     assert sweep["64"]["peak_mem_mb"] > sweep["16"]["peak_mem_mb"]

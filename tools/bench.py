@@ -6,7 +6,8 @@ The file holds:
   checkout;
 - ``catalog``: each of the 18 catalog runs at ``--size``, with its
   iterations, wall seconds (fastest of ``REPEAT`` solves), ms per iteration,
-  relative error, status, ``digest``, ``kernel_ms`` and ``peak_mem_mb``;
+  relative error, status, ``digest``, ``history_digest``, ``kernel_ms`` and
+  ``peak_mem_mb``;
 - ``sweep``: ``deblur-uniform-tv``, ``mri`` and ``inpaint`` at 1x, 2x and 4x
   ``--size`` (128, 256 and 512 by default), with the same fields;
   iterations and ms per iteration are reported apart, since algorithmic
@@ -26,7 +27,9 @@ subprocess): it tracks the host's speed while the run was timed, so
 per-layer time over its entry's ``kernel_ms``.  ``peak_mem_mb`` is the
 ``tracemalloc`` peak of one more, untimed solve (built outside tracing).
 ``digest`` is the first 16 hex digits of the sha256 of the estimate's bytes,
-so two files show which runs changed bits.
+and ``history_digest`` those of the record's ``HISTORY_COLUMNS``, one column
+after another, so two files show which runs changed bits, in the estimate or
+in the record alone.
 
 Solves run one at a time in this process, and the ``perfbench`` runs one at
 a time in subprocesses, so nothing else of this tool competes for a core.
@@ -61,6 +64,7 @@ REPEAT = 3  # solves per run; the fastest gives the wall time
 SWEEP = ("deblur-uniform-tv", "mri", "inpaint")  # one run per problem family
 WORKLOADS = ("deblur-tv", "deblur-syn-256", "mri", "inpaint-256")
 KERNEL_CALLS = 3  # reference kernel timings before the first solve and after each
+HISTORY_COLUMNS = ("objective", "constraint_norm", "primal_residual", "mse", "relative_change")
 
 
 def load_speed_probe():
@@ -93,10 +97,15 @@ def peak_mem_mb(name, size):
         tracemalloc.stop()
 
 
+def digest(array):
+    """The first 16 hex digits of the sha256 of ``array``'s bytes."""
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+
 def timed_run(name, size, probe):
     """Iterations, fastest wall s, ms/iter, relative error, status, the
-    estimate's digest, the reference kernel's median ms and the peak traced
-    MiB of one run."""
+    estimate's and the record's digests, the reference kernel's median ms and
+    the peak traced MiB of one run."""
     best = float("inf")
     kernel = kernel_times(probe)
     for _ in range(REPEAT):
@@ -111,7 +120,9 @@ def timed_run(name, size, probe):
         "ms_per_iter": round(1e3 * best / report.iterations, 4),
         "rel_error": report.relative_error,
         "status": report.status,
-        "digest": hashlib.sha256(report.estimate.tobytes()).hexdigest()[:16],
+        "digest": digest(report.estimate),
+        "history_digest": digest([[getattr(record, column) for record in report.history]
+                                  for column in HISTORY_COLUMNS]),
         "kernel_ms": round(1e3 * statistics.median(kernel), 4),
         "peak_mem_mb": round(peak_mem_mb(name, size), 4),
     }
