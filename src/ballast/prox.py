@@ -8,6 +8,8 @@ Every prox here is nonexpansive and deterministic; the solver relies on both.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,6 +29,16 @@ __all__ = [
 # stays in the L2 cache, and is under a quarter of a 13-band coefficient
 # array from 128x128 up.
 BLOCK = 32768
+
+# Chambolle's dual step, 1/8: the bound of his 2004 convergence proof.
+DUAL_STEP = 0.125
+
+# Pixels from which ``IsotropicTV.prox`` runs as two row bands on two
+# threads.  Measured in whole solves on a 2-core host (ROADMAP, item 9's
+# entry): at 128^2 the bands lose, since short ufunc calls contend for the
+# GIL and the ghost rows are a large share of a half; at 192^2 they gain on
+# inpaint but not on deblur-uniform-tv; at 256^2 and 512^2 they gain on both.
+BAND_PIXELS = 256 * 256
 
 
 def soft_threshold(v, tau):
@@ -74,7 +86,19 @@ def tv_norm(x):
     return float(np.sum(np.sqrt(gx, out=gx)))
 
 
-def tv_prox(v, tau, iterations=10, dual_step=0.125, dual=None):
+def _tv_input(v, tau):
+    """``v`` as a float64 image, once ``tau`` and ``v`` pass the TV prox's checks."""
+    if tau < 0:
+        raise ValueError(f"threshold must be nonnegative, got {tau}")
+    if np.iscomplexobj(v):
+        raise ValueError("the TV prox expects a real image; split complex input first")
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 2 or min(v.shape) < 2:
+        raise ValueError(f"TV needs a 2D image with both sides >= 2, got shape {v.shape}")
+    return v
+
+
+def tv_prox(v, tau, iterations=10, dual_step=DUAL_STEP, dual=None):
     """Approximate prox of ``tau * TV`` by Chambolle's projection algorithm.
 
     Runs a fixed number of multiplicative dual updates and returns
@@ -87,28 +111,42 @@ def tv_prox(v, tau, iterations=10, dual_step=0.125, dual=None):
     leaves holding the final field.  ``px[:, -1]`` and ``py[-1, :]`` never
     enter the divergence and are held at zero, so those entries of ``dual``
     are zeroed; at ``tau == 0`` the prox is the identity and all of it is.
+
+    This is the whole-image form of the loop.  ``IsotropicTV.prox`` runs the
+    same loop (``_chambolle``) on row bands of large images, each band
+    widened by ``iterations + 1`` ghost rows, and gets these bits.
     """
-    if tau < 0:
-        raise ValueError(f"threshold must be nonnegative, got {tau}")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    if np.iscomplexobj(v):
-        raise ValueError("tv_prox expects a real image; split complex input first")
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 2 or min(v.shape) < 2:
-        raise ValueError(f"TV needs a 2D image with both sides >= 2, got shape {v.shape}")
-    h, w = v.shape
-    n = h * w
+    v = _tv_input(v, tau)
+    n = v.size
     if dual is None:
         p = np.zeros((2, n))
     elif np.shape(dual) != (2, n) or getattr(dual, "dtype", None) != np.float64:
         raise ValueError(f"dual needs a float64 array of shape (2, {n})")
     else:
         p = dual
-        p[0, w - 1::w] = p[1, n - w:] = 0.0
     if tau == 0:
         p[...] = 0.0
         return v.copy()
+    return _chambolle(v, tau, p, iterations, dual_step)
+
+
+def _chambolle(v, tau, p, iterations, dual_step, out=None, own=slice(None)):
+    """Chambolle's loop on the image ``v`` from the dual ``p``, a ``(2,
+    v.size)`` float64 array (possibly a view) left holding the final field;
+    returns rows ``own`` of ``v - tau * div(p)``, written into ``out`` if
+    given.  Row bands run it as if their edges were the image's.
+
+    It calls numpy ufuncs and slice assignments only, so a worker thread
+    may run it.  Without ``out`` the result is allocated after the work
+    arrays: freed below it, they leave a hole in the heap, where freed on
+    top they could be returned to the system and faulted back in on every
+    call (on ``mri``, 100-130 page faults per iteration against 4-9).
+    """
+    h, w = v.shape
+    n = h * w
+    p[0, w - 1::w] = p[1, n - w:] = 0.0
     vt = np.ravel(v / tau)
     g = np.zeros((2, n))  # g[1]'s last row is never written: it stays zero
     work = np.empty((2, n))  # g*g; work[1] also holds div, work[0] weight
@@ -136,8 +174,9 @@ def tv_prox(v, tau, iterations=10, dual_step=0.125, dual=None):
         np.add(weight, 1.0, out=weight)
         np.add(p, g, out=p)
         np.divide(p, weight, out=p)
+    div = div.reshape(h, w)[own]
     np.multiply(div, tau, out=div)
-    return v - div.reshape(h, w)
+    return np.subtract(v[own], div, out=out)
 
 
 def l2_norm(a):
@@ -242,6 +281,20 @@ class IsotropicTV:
     lives in the solver-owned per-solve ``carry`` dict, never on the penalty,
     and each call updates it in place.  Warm, a few inner steps per outer
     iteration suffice; without a ``carry`` every call starts cold.
+
+    From ``BAND_PIXELS`` pixels up, when the process may run on two CPUs
+    and each half has at least ``iterations + 1`` rows, the prox runs as two
+    row bands.  After k inner steps an output row depends only on the rows
+    within k + 1 of it, so a band that reaches ``iterations + 1`` ghost rows
+    into the other band, run as if its edges were the image's, gives its
+    own rows bit for bit as the whole image does.  ``carry["tv_dual"]``
+    holds each band's dual field (own and ghost rows) one band after
+    another: with one band it is exactly ``tv_prox``'s ``(2, h*w)`` dual.
+    Each call first copies every band's ghost rows from the other band's
+    own rows; then the lower band runs on a one-thread executor kept in
+    ``carry["tv_worker"]``, the upper on the calling thread, and each writes
+    its own rows into the one output image.  The worker lives as long as the
+    carry, so it exits once the solve that owns the carry is dropped.
     """
 
     kind = "tv"
@@ -256,9 +309,51 @@ class IsotropicTV:
 
     def prox(self, v, tau, carry=None):
         carry = {} if carry is None else carry
-        dual = carry.get("tv_dual")
-        if dual is None:
-            dual = np.zeros((2, np.size(v)))
-        out = tv_prox(v, tau, iterations=self.iterations, dual=dual)
-        carry["tv_dual"] = dual  # only once tv_prox has accepted v
+        v = _tv_input(v, tau)
+        h, w = v.shape
+        ghost = self.iterations + 1
+        if "tv_dual" not in carry:
+            banded = _banded(h, w, ghost)
+            if banded:
+                carry["tv_worker"] = ThreadPoolExecutor(1, thread_name_prefix="tv-band")
+            carry["tv_dual"] = np.zeros((2, (h + 2 * ghost * banded) * w))
+        dual = carry["tv_dual"]
+        worker = carry.get("tv_worker")
+        if worker is None:
+            return tv_prox(v, tau, self.iterations, dual=dual)
+        if dual.shape != (2, (h + 2 * ghost) * w):
+            raise ValueError(f"the carried TV dual has shape {dual.shape}, "
+                             f"not (2, {(h + 2 * ghost) * w})")
+        if tau == 0:
+            dual[...] = 0.0
+            return v.copy()
+        # the upper band holds rows [0, cut + ghost), the lower [cut - ghost, h);
+        # each one's ghost rows start as the other one's own rows
+        cut = h // 2
+        upper, lower = np.split(dual, [(cut + ghost) * w], axis=1)
+        upper[:, cut * w:] = lower[:, ghost * w:2 * ghost * w]
+        lower[:, :ghost * w] = upper[:, (cut - ghost) * w:cut * w]
+        out = np.empty_like(v)
+        lower_band = worker.submit(_chambolle, v[cut - ghost:], tau, lower, self.iterations,
+                                   DUAL_STEP, out[cut:], slice(ghost, None))
+        try:
+            _chambolle(v[:cut + ghost], tau, upper, self.iterations, DUAL_STEP, out[:cut],
+                       slice(None, cut))
+        finally:
+            lower_band.result()
         return out
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _banded(h, w, ghost):
+    """Whether ``IsotropicTV.prox`` splits an ``h x w`` image into two row
+    bands: from ``BAND_PIXELS`` up, with ``ghost`` rows in each half and two
+    usable CPUs."""
+    return h * w >= BAND_PIXELS and h // 2 >= ghost and _usable_cpus() >= 2

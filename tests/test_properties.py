@@ -10,7 +10,8 @@ that are not point-symmetric, and its half-spectrum forward and adjoint
 against the complex operator's full transforms.  The undecimated Haar
 transforms are also pinned bit for bit to an ``np.roll`` reference, the
 real-FFT convolution to a full complex-FFT reference, the TV prox to the
-straightforward 2-D Chambolle loop it replaced, the flat-index sampling operators, the TV
+straightforward 2-D Chambolle loop it replaced, ``IsotropicTV``'s row-band prox
+to ``tv_prox`` on one whole-image dual, the flat-index sampling operators, the TV
 norm and the MSE to the boolean-mask and ``np.diff`` formulas they replaced,
 and the in-place real soft threshold to ``v - clip(v, -tau, tau)``.  The
 record's block reductions (``l2_distance``, ``L1Norm.evaluate``) are checked
@@ -18,16 +19,20 @@ against one-array sums across block boundaries, and for the memory they
 allocate.
 """
 
+import contextlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ballast.prox
 from ballast import (
     BallConstraint,
     CircularConvolution,
+    IsotropicTV,
     L1Norm,
     OrthogonalHaar,
     PartialFourier,
@@ -361,6 +366,75 @@ def test_tv_prox_matches_chambolle_reference_bitwise(h, w, tau, iterations, warm
     assert got_x[:, :-1].tobytes() == want_x[:, :-1].tobytes()
     assert got_y[:-1, :].tobytes() == want_y[:-1, :].tobytes()
     assert not got_x[:, -1].any() and not got_y[-1, :].any()
+
+
+@contextlib.contextmanager
+def two_cpus(band_pixels=0):
+    """``IsotropicTV`` sees two usable CPUs and the band crossover at ``band_pixels``."""
+    with mock.patch.object(ballast.prox, "_usable_cpus", lambda: 2), \
+            mock.patch.object(ballast.prox, "BAND_PIXELS", band_pixels):
+        yield
+
+
+def assert_warm_calls_match_tv_prox(h, w, iterations, seed, calls=40):
+    """``calls`` warm prox calls on a drifting image, a few at ``tau = 0``,
+    give ``tv_prox``'s bits on one whole-image dual; returns the carry."""
+    rng = np.random.default_rng(seed)
+    tv = IsotropicTV(iterations)
+    carry = {}
+    dual = np.zeros((2, h * w))
+    v = random_element(rng, (h, w))
+    for call in range(calls):
+        v = v + 0.3 * random_element(rng, (h, w))
+        tau = 0.0 if call % 13 == 12 else float(rng.uniform(0.05, 2.0))  # 0: identity
+        got = tv.prox(v, tau, carry)
+        assert got.tobytes() == tv_prox(v, tau, iterations, dual=dual).tobytes()
+    return carry, dual
+
+
+@PROPERTY
+@given(st.integers(2, 49), st.integers(2, 9), st.sampled_from([1, 3, 10]), seeds)
+@example(h=4, w=2, iterations=1, seed=0)  # two own rows a band, each all ghost of the other
+@example(h=23, w=3, iterations=10, seed=1)  # odd: 11 and 12 own rows, 11 ghost rows
+def test_banded_tv_prox_matches_whole_image_dual_bitwise(h, w, iterations, seed):
+    with two_cpus():
+        carry, dual = assert_warm_calls_match_tv_prox(h, w, iterations, seed)
+    ghost = iterations + 1
+    banded = h // 2 >= ghost
+    assert ("tv_worker" in carry) == banded
+    field = carry["tv_dual"].reshape(2, -1, w)
+    if banded:
+        # the upper band's own rows, its ghost rows, the lower band's ghost
+        # rows, then its own rows
+        cut = h // 2
+        assert field.shape[1] == h + 2 * ghost
+        field = np.concatenate([field[:, :cut], field[:, cut + 2 * ghost:]], axis=1)
+    assert field.tobytes() == dual.tobytes()
+
+
+def test_banded_tv_prox_keeps_one_band_without_room_for_ghost_rows():
+    # 72,000 pixels are past the crossover, but 3 rows a half are fewer
+    # than the 4 ghost rows of 3 inner steps
+    assert 6 * 12_000 >= ballast.prox.BAND_PIXELS
+    with two_cpus(ballast.prox.BAND_PIXELS):
+        carry, _ = assert_warm_calls_match_tv_prox(6, 12_000, 3, seed=0)
+    assert "tv_worker" not in carry and carry["tv_dual"].shape == (2, 72_000)
+
+
+def test_banded_tv_prox_needs_the_crossover_and_two_cpus():
+    v = np.random.default_rng(0).standard_normal((256, 256))
+    assert v.size == ballast.prox.BAND_PIXELS
+    with two_cpus(ballast.prox.BAND_PIXELS):
+        carry = {}
+        IsotropicTV().prox(v, 0.3, carry)
+        assert "tv_worker" in carry and carry["tv_dual"].shape == (2, (256 + 8) * 256)
+        small = {}
+        IsotropicTV().prox(v[:255], 0.3, small)
+        assert "tv_worker" not in small
+    with mock.patch.object(ballast.prox, "_usable_cpus", lambda: 1):
+        one_cpu = {}
+        IsotropicTV().prox(v, 0.3, one_cpu)
+        assert "tv_worker" not in one_cpu and one_cpu["tv_dual"].shape == (2, v.size)
 
 
 @PROPERTY

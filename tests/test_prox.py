@@ -5,15 +5,26 @@ dense grid searches over the defining objectives, and the TV prox is compared
 with a from-scratch projected-gradient dual solver run far past convergence.
 """
 
+import gc
+import multiprocessing
+import threading
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import ballast.prox
 from ballast import (
     BallConstraint,
+    DivergenceError,
     IsotropicTV,
     L1Norm,
+    SolverConfig,
+    inpainting_instance,
     project_ball,
     soft_threshold,
+    solve,
     tv_norm,
     tv_prox,
 )
@@ -350,3 +361,89 @@ def test_tv_penalty_rejects_complex_input(rng):
     with pytest.raises(ValueError, match="real image"):
         tv.evaluate(v)
     assert carry == {}
+
+
+# ---------------------------------------------------------------------------
+# row bands: the worker thread's lifetime
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def banded(monkeypatch):
+    """Two row bands from 1024 pixels up, on any host."""
+    monkeypatch.setattr(ballast.prox, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ballast.prox, "BAND_PIXELS", 32 * 32)
+
+
+def eventually(condition, timeout=10.0):
+    """Whether ``condition()`` holds within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+def banded_prox_in_child(queue):
+    v = np.random.default_rng(1).standard_normal((32, 32))
+    carry = {}
+    out = [IsotropicTV().prox(v, 0.3, carry) for _ in range(3)][-1]
+    want = tv_prox(v, 0.3, iterations=9)
+    queue.put(("tv_worker" in carry, bool(np.allclose(out, want, atol=1e-12))))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_banded_prox_runs_in_a_child_forked_after_one(banded):
+    # no worker outlives the carry that holds it, so a forked child never
+    # inherits one whose thread did not survive the fork
+    v = np.random.default_rng(0).standard_normal((32, 32))
+    carry = {}
+    IsotropicTV().prox(v, 0.3, carry)
+    assert "tv_worker" in carry
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=banded_prox_in_child, args=(queue,))
+    child.start()
+    try:
+        assert queue.get(timeout=60) == (True, True)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
+class DivergingTV(IsotropicTV):
+    """TV whose prox returns a NaN from its third call on, if ``diverge``;
+    it records the threads alive during each call."""
+
+    def __init__(self, diverge):
+        super().__init__()
+        self.diverge = diverge
+        self.threads = []
+
+    def prox(self, v, tau, carry=None):
+        out = super().prox(v, tau, carry)
+        self.threads.append(set(threading.enumerate()))
+        if self.diverge and len(self.threads) >= 3:
+            out[0, 0] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("diverge", [False, True])
+def test_band_worker_exits_once_the_solve_is_done(banded, diverge):
+    inst = inpainting_instance(size=32, seed=0)
+    config = SolverConfig(mu=0.05, epsilon=inst.epsilon, max_iterations=20)
+    before = set(threading.enumerate())
+    penalty = DivergingTV(diverge)
+    try:
+        solve(inst.operator, inst.observation, penalty, config)
+    except DivergenceError:
+        assert diverge
+    else:
+        assert not diverge
+    gc.collect()  # the exception's traceback holds the solve's frame in a cycle
+    # one worker, alive in every call of the solve, and gone after it
+    workers = set.union(*penalty.threads) - before
+    assert len(workers) == 1 and all(workers <= threads for threads in penalty.threads)
+    assert eventually(lambda: not any(t.is_alive() for t in workers))
+    assert threading.active_count() <= len(before)

@@ -23,8 +23,8 @@ def test_microbench_prints_one_json_line_per_primitive(capsys):
     assert microbench.main(["--sizes", "16", "--repeat", "1"]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     names = [line["primitive"] for line in lines]
-    assert len(names) == len(set(names)) == 17  # 3 operators x 3 maps + 8
-    assert {"tv_prox", "soft_threshold", "project_ball", "haar.analysis", "haar.synthesis",
+    assert len(names) == len(set(names)) == 18  # 3 operators x 3 maps + 9
+    assert {"tv_prox", "IsotropicTV.prox", "soft_threshold", "project_ball", "haar.analysis", "haar.synthesis",
             "fourier.shifted_normal_inverse", "tv_norm", "l1.evaluate",
             "record.primal"} <= set(names)
     for line in lines:
@@ -57,6 +57,8 @@ def test_bench_writes_catalog_and_sweep(tmp_path, monkeypatch, capsys):
     for runs in [data["catalog"], *data["sweep"].values()]:
         for run in runs.values():
             assert 1 <= run["iterations"] and run["wall_s"] > 0 and run["ms_per_iter"] > 0
+            # the process CPU time of the fastest solve, counting every thread
+            assert run["cpu_s"] > 0
             assert run["rel_error"] > 0 and run["status"] in ("converged", "exhausted")
             assert run["kernel_ms"] > 0 and run["peak_mem_mb"] > 0
             for key in ("digest", "history_digest"):

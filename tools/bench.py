@@ -5,8 +5,8 @@ The file holds:
 - ``meta``: nproc, the Python and numpy versions and the git sha of the
   checkout;
 - ``catalog``: each of the 18 catalog runs at ``--size``, with its
-  iterations, wall seconds (fastest of ``REPEAT`` solves), ms per iteration,
-  relative error, status, ``digest``, ``history_digest``, ``kernel_ms`` and
+  iterations, wall seconds (fastest of ``REPEAT`` solves), the process CPU
+  seconds of that solve, ms per iteration, relative error, status, ``digest``, ``history_digest``, ``kernel_ms`` and
   ``peak_mem_mb``;
 - ``sweep``: ``deblur-uniform-tv``, ``mri`` and ``inpaint`` at 1x, 2x and 4x
   ``--size`` (128, 256 and 512 by default), with the same fields;
@@ -18,7 +18,9 @@ The file holds:
   tool exits 1 and names each ``perfbench`` run that reports
   ``"correct": false`` on stderr.
 
-Wall times are raw.  ``kernel_ms`` is the median time of ``perfbench``'s
+Wall times are raw.  ``cpu_s`` counts every thread of the process, so it
+exceeds ``wall_s`` where a solve runs work on a second thread (the row bands
+of the TV prox).  ``kernel_ms`` is the median time of ``perfbench``'s
 fixed reference kernel (``SpeedProbe.kernel``), timed before the first solve
 and after each one (for a ``perfbench`` entry: before and after its
 subprocess): it tracks the host's speed while the run was timed, so
@@ -103,20 +105,23 @@ def digest(array):
 
 
 def timed_run(name, size, probe):
-    """Iterations, fastest wall s, ms/iter, relative error, status, the
-    estimate's and the record's digests, the reference kernel's median ms and
+    """Iterations, fastest wall s and that solve's CPU s, ms/iter, relative
+    error, status, the estimate's and the record's digests, the reference kernel's median ms and
     the peak traced MiB of one run."""
-    best = float("inf")
+    best, best_cpu = float("inf"), None
     kernel = kernel_times(probe)
     for _ in range(REPEAT):
         setup = build_experiment(name, size=size)
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         report = run_experiment(setup)
-        best = min(best, time.perf_counter() - t0)
+        wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+        if wall < best:
+            best, best_cpu = wall, cpu
         kernel += kernel_times(probe)
     return {
         "iterations": report.iterations,
         "wall_s": round(best, 4),
+        "cpu_s": round(best_cpu, 4),
         "ms_per_iter": round(1e3 * best / report.iterations, 4),
         "rel_error": report.relative_error,
         "status": report.status,

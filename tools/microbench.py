@@ -7,8 +7,10 @@ For each image side it times, on random float64 data:
   a 22-line ``RealPartialFourier``;
 - analysis and synthesis of ``UndecimatedHaar(levels=4)``;
 - ``soft_threshold`` on that frame's coefficients, ``tv_prox`` with 10
-  inner steps from a warm dual field, and ``project_ball`` of an
-  observation-sized point from outside the ball;
+  inner steps from a warm dual field, ``IsotropicTV().prox`` (3 inner
+  steps) from a warm solver carry, the path the solver runs, in row bands
+  on two threads from ``ballast.prox.BAND_PIXELS`` up, and ``project_ball``
+  of an observation-sized point from outside the ball;
 - the per-iteration record's own primitives: ``tv_norm`` of the image and
   ``L1Norm.evaluate`` of the frame coefficients, the objectives of the TV
   and the frame formulations, and ``l2_distance`` between two frame
@@ -39,6 +41,7 @@ import ballast
 from ballast import (
     BallConstraint,
     CircularConvolution,
+    IsotropicTV,
     L1Norm,
     PixelMask,
     RealPartialFourier,
@@ -78,6 +81,8 @@ def primitives(size, seed=0):
     calls["soft_threshold"] = lambda: soft_threshold(coefficients, 0.5)
     dual = np.zeros((2, x.size))  # warm after min_ms's untimed first call
     calls["tv_prox"] = lambda: tv_prox(x, 0.3, iterations=10, dual=dual)
+    carry = {}  # warm, and holding its band worker, after the first call
+    calls["IsotropicTV.prox"] = lambda: IsotropicTV().prox(x, 0.3, carry)
     y = ops["convolution"].forward(x)
     ball = BallConstraint(y, 0.5 * float(np.linalg.norm(y)))
     calls["project_ball"] = lambda: project_ball(2.0 * y, ball)
