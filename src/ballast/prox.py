@@ -25,19 +25,22 @@ __all__ = [
 ]
 
 # Elements per block of the blocked reductions (``squared_distance``,
-# ``L1Norm.evaluate``): their one reused buffer, 256 KiB for real input,
-# stays in the L2 cache, and is under a quarter of a 13-band coefficient
-# array from 128x128 up.
+# ``L1Norm.evaluate``) and of the frame step's coefficient chain: a block,
+# 256 KiB for real input, stays in the L2 cache, and is under a quarter of a
+# 13-band coefficient array from 128x128 up.
 BLOCK = 32768
 
 # Chambolle's dual step, 1/8: the bound of his 2004 convergence proof.
 DUAL_STEP = 0.125
 
-# Pixels from which ``IsotropicTV.prox`` runs as two row bands on two
-# threads.  Measured in whole solves on a 2-core host (ROADMAP, item 9's
-# entry): at 128^2 the bands lose, since short ufunc calls contend for the
-# GIL and the ghost rows are a large share of a half; at 192^2 they gain on
-# inpaint but not on deblur-uniform-tv; at 256^2 and 512^2 they gain on both.
+# Pixels from which a solve uses a second thread (``carry_worker``):
+# ``IsotropicTV.prox`` runs as two row bands, and the frame step runs its
+# operator work beside its frame transforms and its coefficient chain in
+# ``BLOCK`` blocks.  Measured in whole solves on a 2-core host (ROADMAP): at
+# 128^2 the bands lose, since short ufunc calls contend for the GIL and the
+# ghost rows are a large share of a half, and the blocked chain loses to its
+# per-block calls; at 192^2 the bands gain on inpaint but not on
+# deblur-uniform-tv; at 256^2 and 512^2 they gain on both.
 BAND_PIXELS = 256 * 256
 
 
@@ -291,10 +294,9 @@ class IsotropicTV:
     holds each band's dual field (own and ghost rows) one band after
     another: with one band it is exactly ``tv_prox``'s ``(2, h*w)`` dual.
     Each call first copies every band's ghost rows from the other band's
-    own rows; then the lower band runs on a one-thread executor kept in
-    ``carry["tv_worker"]``, the upper on the calling thread, and each writes
-    its own rows into the one output image.  The worker lives as long as the
-    carry, so it exits once the solve that owns the carry is dropped.
+    own rows; then the lower band runs on the solve's worker
+    (``carry_worker``), the upper on the calling thread, and each writes its
+    own rows into the one output image.
     """
 
     kind = "tv"
@@ -313,12 +315,10 @@ class IsotropicTV:
         h, w = v.shape
         ghost = self.iterations + 1
         if "tv_dual" not in carry:
-            banded = _banded(h, w, ghost)
-            if banded:
-                carry["tv_worker"] = ThreadPoolExecutor(1, thread_name_prefix="tv-band")
+            banded = h // 2 >= ghost and carry_worker(carry, h * w) is not None
             carry["tv_dual"] = np.zeros((2, (h + 2 * ghost * banded) * w))
         dual = carry["tv_dual"]
-        worker = carry.get("tv_worker")
+        worker = carry.get("worker")
         if worker is None:
             return tv_prox(v, tau, self.iterations, dual=dual)
         if dual.shape != (2, (h + 2 * ghost) * w):
@@ -344,16 +344,24 @@ class IsotropicTV:
         return out
 
 
+def carry_worker(carry, pixels):
+    """The solve's one-thread worker, kept in ``carry["worker"]``, or None.
+
+    The first call for an image of at least ``BAND_PIXELS`` pixels makes it
+    when the process may run on two CPUs; smaller images, and one CPU, get
+    None.  The TV prox's row bands and the frame step's operator work share
+    it.  It lives as long as the carry, so it exits once the solve that owns
+    the carry is dropped.
+    """
+    worker = carry.get("worker")
+    if worker is None and pixels >= BAND_PIXELS and _usable_cpus() >= 2:
+        worker = carry["worker"] = ThreadPoolExecutor(1, thread_name_prefix="ballast")
+    return worker
+
+
 def _usable_cpus():
     """CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _banded(h, w, ghost):
-    """Whether ``IsotropicTV.prox`` splits an ``h x w`` image into two row
-    bands: from ``BAND_PIXELS`` up, with ``ghost`` rows in each half and two
-    usable CPUs."""
-    return h * w >= BAND_PIXELS and h // 2 >= ghost and _usable_cpus() >= 2

@@ -21,11 +21,14 @@ unknown itself, which is the image (``"direct"``) or its frame coefficients
 
 import math
 import time
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prox import BallConstraint, l2_distance, l2_norm, mse, project_ball
+from . import prox
+from .prox import (BallConstraint, carry_worker, l2_distance, l2_norm, mse, project_ball,
+                   squared_distance)
 
 __all__ = [
     "SolverConfig",
@@ -49,8 +52,7 @@ FEASIBILITY_SLACK = 0.01
 # Over-relaxation factor alpha of each step: the proxes and dual updates see
 # H u + (alpha - 1)(H u - v) in place of H u.  ADMM converges for any alpha in
 # (0, 2) (Eckstein & Bertsekas 1992); 1.5 cuts the catalog's iterations by
-# about 18%, while 1.8 breaks the deblurring family's monotone objective.  The
-# synthesis step's prox input uses an identity that holds at 1.5 only.
+# about 18%, while 1.8 breaks the deblurring family's monotone objective.
 RELAXATION = 1.5
 
 
@@ -106,8 +108,10 @@ class SolverState:
     its frame synthesis ``W u`` in the synthesis formulation.  ``v`` and
     ``d`` hold the penalty block's and the feasibility block's split
     variables and scaled duals; ``hu`` holds the two blocks' images of ``u``
-    from the latest step and ``carry`` is the penalty prox's warm-start
-    scratch.
+    from the latest step.  ``carry`` is the solve's scratch: the penalty
+    prox's warm start, the solve's worker thread (``prox.carry_worker``) and,
+    in the synthesis and analysis formulations, the latest step's record
+    sums (``step``).
     """
 
     u: object
@@ -167,7 +171,7 @@ def _dual_update(v, w):
     return np.subtract(v, w, out=w)
 
 
-def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
+def step(state, op, ball, penalty, mu, formulation="direct", frame=None, record=True):
     """One C-SALSA iteration of ``formulation`` on the image-domain ``op``.
 
     The split is ``[I; B W]`` on the coefficients of ``frame`` for
@@ -183,56 +187,181 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None):
     ``state.hu`` keeps the unrelaxed ``Hu``.  The state is updated only once
     the image ``x``, ``v[0]`` and ``v[1]`` are all finite.
 
-    In the synthesis and analysis formulations at most six coefficient-sized
-    arrays are alive at once: the last iterate's ``hu[0]``, ``v[0]`` and
-    ``d[0]``, and the new ``hu[0]``, the prox input and the prox output.  In
-    the synthesis formulation the prox input lives in the array of the
-    u-update's correction ``W^H (x - W s)``, which it no longer needs.
+    The synthesis and analysis formulations run their penalty block's
+    coefficient chain as one pass (``_coefficient_chain``).  From
+    ``prox.BAND_PIXELS`` pixels up the pass goes ``prox.BLOCK`` coefficients
+    at a time and, with ``record``, also takes the record's objective and
+    penalty-block residual into ``state.carry["record"]``, which is None
+    where the step took no sums; ``solve`` passes ``record_history`` as
+    ``record`` and takes any sums it needs that the step did not take from
+    the whole arrays.  Where two CPUs are usable there, the operator's work
+    runs on the solve's worker (``prox.carry_worker``) beside the frame
+    transform that does not need it: ``op.adjoint`` beside the synthesis,
+    the feasibility block beside the analysis.  Each task is joined before
+    the chain starts, and before the step returns or raises.
+
+    In those two formulations at most six coefficient-sized arrays are
+    alive at once: the last iterate's ``hu[0]``, ``v[0]`` and ``d[0]``, and
+    the new ``hu[0]``, ``v[0]`` and ``d[0]``, with the prox input formed
+    over the new ``d[0]``.  In the synthesis formulation that array is the
+    u-update's correction ``W^H (x - W s)``, dead once added to ``u``.
+    Below the crossover the chain is one whole-array block, and the new
+    ``v[0]`` is the prox's own output.
     """
+    if formulation != "direct":
+        return _frame_step(state, op, ball, penalty, mu, formulation, frame, record)
     d0, d1 = state.d
-    if formulation == "synthesis":
-        # u = s + W^H (x - W s) with s = v0 + d0, added in place into s,
-        # whose dtype the start fixed (``_initial_state``)
-        u = state.v[0] + d0
-        ws = frame.synthesis(u)
-        x = op.shifted_normal_inverse(ws + op.adjoint(state.v[1] + d1))
-        correction = frame.analysis(x - ws)
-        u += correction
-        hu0 = u
-    elif formulation == "analysis":
-        x = u = op.shifted_normal_inverse(
-            frame.synthesis(state.v[0] + d0) + op.adjoint(state.v[1] + d1))
-        hu0 = frame.analysis(u)
-    else:
-        x = u = op.shifted_normal_inverse((state.v[0] + d0) + op.adjoint(state.v[1] + d1))
-        hu0 = u
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError(f"non-finite u at iteration {state.k + 1}", state=state)
-    if formulation == "synthesis":
-        # the prox input u + (RELAXATION - 1)(u - v0) - d0, with u - v0 =
-        # d0 + correction and RELAXATION - 2 = -(RELAXATION - 1) at 1.5, is
-        # u + (RELAXATION - 1)(correction - d0): formed in the correction
-        # array, which is dead by now
-        w0 = np.subtract(correction, d0, out=correction)
-        w0 *= RELAXATION - 1.0
-        w0 += u
-    else:
-        w0 = _relaxed_prox_input(hu0, state.v[0], d0)
+    x = u = op.shifted_normal_inverse((state.v[0] + d0) + op.adjoint(state.v[1] + d1))
+    _check_finite(x, "u", state)
+    w0 = _relaxed_prox_input(u, state.v[0], d0)
     v0 = penalty.prox(w0, 1.0 / mu, state.carry)
-    if not np.all(np.isfinite(v0)):
-        raise DivergenceError(f"non-finite v[0] at iteration {state.k + 1}", state=state)
+    _check_finite(v0, "v[0]", state)
+    feasibility = _feasibility(state, op, ball, x)
+    return _commit(state, feasibility, u, x, v0, _dual_update(v0, w0), u)
+
+
+def _frame_step(state, op, ball, penalty, mu, formulation, frame, record):
+    """``step`` for the synthesis and analysis formulations."""
+    (v0, v1), (d0, d1) = state.v, state.d
+    pixels = math.prod(op.in_shape)
+    worker = carry_worker(state.carry, pixels)
+    synthesis = formulation == "synthesis"
+    back = _WorkerTask(worker, lambda: op.adjoint(v1 + d1))
+    with back:
+        # u = s + W^H (x - W s) with s = v0 + d0 in the synthesis formulation,
+        # added in place into s, whose dtype the start fixed (``_initial_state``)
+        s = v0 + d0
+        ws = frame.synthesis(s)
+        if not synthesis:
+            s = None  # the analysis step needs W s only
+    x = op.shifted_normal_inverse(ws + back.result())
+    del back
+    _check_finite(x, "u", state)
+    feasibility = _WorkerTask(worker, lambda: _feasibility(state, op, ball, x))
+    with feasibility:
+        a = frame.analysis(x - ws) if synthesis else frame.analysis(x)
+    # the correction a becomes the new d0 in the synthesis formulation; the
+    # analysis's Hu = a needs a fresh one
+    hu0, d0_new = (s, a) if synthesis else (a, np.empty_like(a))
+    # below the crossover the chain is one block, and block sums there would
+    # save no pass over the arrays: solve takes the record's sums after the step
+    blocked = pixels >= prox.BAND_PIXELS
+    v0_new, sums = _coefficient_chain(state, penalty, 1.0 / mu, hu0, d0_new, synthesis,
+                                      prox.BLOCK if blocked else hu0.size,
+                                      blocked and record)
+    _commit(state, feasibility.result(), hu0 if synthesis else x, x, v0_new, d0_new, hu0)
+    state.carry["record"] = sums
+    return state
+
+
+class _WorkerTask:
+    """``fn`` started on the solve's worker and joined when a ``with`` block
+    on the task exits, however it exits; without a worker, ``fn`` runs when
+    its result is read, so that its arrays are not alive before then."""
+
+    def __init__(self, worker, fn):
+        self.fn = fn
+        self.future = None if worker is None else worker.submit(fn)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.future is not None:
+            wait((self.future,))
+
+    def result(self):
+        return self.fn() if self.future is None else self.future.result()
+
+
+def _check_finite(a, name, state):
+    """Raise ``DivergenceError`` with the last iterate unless ``a`` is finite."""
+    if not np.all(np.isfinite(a)):
+        raise DivergenceError(f"non-finite {name} at iteration {state.k + 1}", state=state)
+
+
+def _feasibility(state, op, ball, x):
+    """The feasibility block's update from the image ``x``: ``(B x, v1, d1,
+    whether v1 is finite)``.  It does not raise, so that it can run on the
+    solve's worker; ``_commit`` reads the flag."""
     hu1 = op.forward(x)
-    w1 = _relaxed_prox_input(hu1, state.v[1], d1)
+    w1 = _relaxed_prox_input(hu1, state.v[1], state.d[1])
     v1 = project_ball(w1, ball)
-    if not np.all(np.isfinite(v1)):
+    finite = bool(np.all(np.isfinite(v1)))
+    return hu1, v1, _dual_update(v1, w1), finite
+
+
+def _commit(state, feasibility, u, x, v0, d0, hu0):
+    """Make a step's update the state, once ``_feasibility``'s ``v1`` is
+    finite too."""
+    hu1, v1, d1, finite = feasibility
+    if not finite:
         raise DivergenceError(f"non-finite v[1] at iteration {state.k + 1}", state=state)
     state.u = u
     state.x = x
     state.v = [v0, v1]
-    state.d = [_dual_update(v0, w0), _dual_update(v1, w1)]
+    state.d = [d0, d1]
     state.hu = [hu0, hu1]
     state.k += 1
     return state
+
+
+def _coefficient_chain(state, penalty, tau, hu0, d0_new, synthesis, block, sums):
+    """The penalty block's update, ``block`` coefficients at a time:
+    ``(v0_new, (objective, penalty-block residual))``, or ``(v0_new, None)``
+    without ``sums``.
+
+    Per block: in the synthesis formulation ``u += correction``, with the
+    correction held in ``d0_new``; the prox input, formed in ``d0_new``;
+    ``penalty.prox``, checked finite; the dual update, written over the prox
+    input; and with ``sums`` the record's ``penalty.evaluate(hu0)`` and
+    ``||hu0 - v0_new||^2``.  The sums add ``prox.BLOCK`` block sums in order,
+    so they keep the bits of ``L1Norm.evaluate`` and ``squared_distance`` on
+    the whole arrays.  The last iterate stays as it was: a non-finite prox
+    output raises ``DivergenceError`` with ``state``.
+    """
+    v0, d0 = state.v[0], state.d[0]
+    v0_new = None
+    objective = squared = 0.0
+    for i in range(0, hu0.size, block):
+        b = slice(i, i + block)
+        h, w = hu0[b], d0_new[b]
+        if synthesis:
+            # u + (RELAXATION - 1) correction + (RELAXATION - 2) d0, which is
+            # u + (RELAXATION - 1)(u - v0) - d0 as u - v0 = d0 + correction,
+            # formed with no temporary as u + (RELAXATION - 2)(k correction
+            # + d0), k = (RELAXATION - 1) / (RELAXATION - 2); at 1.5, k = -1
+            # makes k correction + d0 one subtraction, a pass fewer (about 3%
+            # of a 128^2 synthesis step), and the point has the bits of
+            # (correction - d0) / 2 + u
+            h += w
+            k = (RELAXATION - 1.0) / (RELAXATION - 2.0)
+            if k == -1.0:
+                np.subtract(d0[b], w, out=w)
+            else:
+                w *= k
+                w += d0[b]
+            w *= RELAXATION - 2.0
+            w += h
+        else:
+            np.subtract(h, v0[b], out=w)
+            w *= RELAXATION - 1.0
+            w += h
+            w -= d0[b]
+        p = penalty.prox(w, tau, state.carry)
+        _check_finite(p, "v[0]", state)
+        if block >= hu0.size and not np.may_share_memory(p, w):
+            v0_new = p  # one block: the prox's own output is the new v0
+        else:
+            if v0_new is None:
+                v0_new = np.empty_like(hu0)
+            v0_new[b] = p
+        p = v0_new[b]
+        np.subtract(p, w, out=w)
+        if sums:
+            objective += penalty.evaluate(h)
+            squared += squared_distance(h, p)
+    return v0_new, (objective, math.sqrt(squared)) if sums else None
 
 
 def check_stop(record, config):
@@ -288,6 +417,14 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
       Parseval so that ``P^H P = I`` lets the u-update reuse the operator's
       shifted-normal inverse unchanged.
 
+    In the synthesis and analysis formulations the penalty acts on
+    coefficients blockwise: ``step`` calls ``penalty.prox`` and
+    ``penalty.evaluate`` on consecutive blocks of the coefficient vector
+    (``prox.BLOCK`` long from ``prox.BAND_PIXELS`` pixels up, else the whole
+    vector), so the prox must act elementwise and the objective must be a
+    sum over elements.  ``L1Norm`` does both; ``IsotropicTV`` cannot take
+    coefficients.
+
     The start ``x0`` is ``y`` itself when ``y`` is a real image, shaped
     like the operator's domain, and ``B``'s output is real; otherwise it is
     the back-projection ``B^H y``, so that no iterate changes dtype;
@@ -314,7 +451,8 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
     while True:
         previous = state.x
         try:
-            step(state, op, ball, penalty, config.mu, formulation, frame)
+            step(state, op, ball, penalty, config.mu, formulation, frame,
+                 config.record_history)
         except DivergenceError as err:
             err.history = history
             raise
@@ -335,8 +473,11 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
         # the stop rule reads neither the objective, the primal residual nor
         # the MSE: with history off they are evaluated for the final record only
         if config.record_history or status != CONTINUE:
-            record.objective = penalty.evaluate(hu0)
-            record.primal_residual = float(np.sqrt(l2_distance(hu0, state.v[0]) ** 2
+            sums = state.carry.get("record")
+            if sums is None:  # not taken in the step's pass
+                sums = penalty.evaluate(hu0), l2_distance(hu0, state.v[0])
+            record.objective, residual = sums
+            record.primal_residual = float(np.sqrt(residual ** 2
                                                    + l2_distance(hu1, state.v[1]) ** 2))
             finite = (finite and np.isfinite(record.objective)
                       and np.isfinite(record.primal_residual))

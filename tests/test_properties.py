@@ -401,7 +401,7 @@ def test_banded_tv_prox_matches_whole_image_dual_bitwise(h, w, iterations, seed)
         carry, dual = assert_warm_calls_match_tv_prox(h, w, iterations, seed)
     ghost = iterations + 1
     banded = h // 2 >= ghost
-    assert ("tv_worker" in carry) == banded
+    assert ("worker" in carry) == banded
     field = carry["tv_dual"].reshape(2, -1, w)
     if banded:
         # the upper band's own rows, its ghost rows, the lower band's ghost
@@ -418,7 +418,7 @@ def test_banded_tv_prox_keeps_one_band_without_room_for_ghost_rows():
     assert 6 * 12_000 >= ballast.prox.BAND_PIXELS
     with two_cpus(ballast.prox.BAND_PIXELS):
         carry, _ = assert_warm_calls_match_tv_prox(6, 12_000, 3, seed=0)
-    assert "tv_worker" not in carry and carry["tv_dual"].shape == (2, 72_000)
+    assert "worker" not in carry and carry["tv_dual"].shape == (2, 72_000)
 
 
 def test_banded_tv_prox_needs_the_crossover_and_two_cpus():
@@ -427,14 +427,14 @@ def test_banded_tv_prox_needs_the_crossover_and_two_cpus():
     with two_cpus(ballast.prox.BAND_PIXELS):
         carry = {}
         IsotropicTV().prox(v, 0.3, carry)
-        assert "tv_worker" in carry and carry["tv_dual"].shape == (2, (256 + 8) * 256)
+        assert "worker" in carry and carry["tv_dual"].shape == (2, (256 + 8) * 256)
         small = {}
         IsotropicTV().prox(v[:255], 0.3, small)
-        assert "tv_worker" not in small
+        assert "worker" not in small
     with mock.patch.object(ballast.prox, "_usable_cpus", lambda: 1):
         one_cpu = {}
         IsotropicTV().prox(v, 0.3, one_cpu)
-        assert "tv_worker" not in one_cpu and one_cpu["tv_dual"].shape == (2, v.size)
+        assert "worker" not in one_cpu and one_cpu["tv_dual"].shape == (2, v.size)
 
 
 @PROPERTY

@@ -21,6 +21,7 @@ from ballast import (
     IsotropicTV,
     L1Norm,
     SolverConfig,
+    UndecimatedHaar,
     inpainting_instance,
     project_ball,
     soft_threshold,
@@ -387,7 +388,7 @@ def banded_prox_in_child(queue):
     carry = {}
     out = [IsotropicTV().prox(v, 0.3, carry) for _ in range(3)][-1]
     want = tv_prox(v, 0.3, iterations=9)
-    queue.put(("tv_worker" in carry, bool(np.allclose(out, want, atol=1e-12))))
+    queue.put(("worker" in carry, bool(np.allclose(out, want, atol=1e-12))))
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -398,7 +399,7 @@ def test_banded_prox_runs_in_a_child_forked_after_one(banded):
     v = np.random.default_rng(0).standard_normal((32, 32))
     carry = {}
     IsotropicTV().prox(v, 0.3, carry)
-    assert "tv_worker" in carry
+    assert "worker" in carry
     context = multiprocessing.get_context("fork")
     queue = context.Queue()
     child = context.Process(target=banded_prox_in_child, args=(queue,))
@@ -412,12 +413,12 @@ def test_banded_prox_runs_in_a_child_forked_after_one(banded):
     assert child.exitcode == 0
 
 
-class DivergingTV(IsotropicTV):
-    """TV whose prox returns a NaN from its third call on, if ``diverge``;
-    it records the threads alive during each call."""
+class ThreadRecorder:
+    """A penalty whose prox returns a NaN from its third call on, if
+    ``diverge``; it records the threads alive during each call."""
 
-    def __init__(self, diverge):
-        super().__init__()
+    def __init__(self, diverge, **kwargs):
+        super().__init__(**kwargs)
         self.diverge = diverge
         self.threads = []
 
@@ -425,25 +426,39 @@ class DivergingTV(IsotropicTV):
         out = super().prox(v, tau, carry)
         self.threads.append(set(threading.enumerate()))
         if self.diverge and len(self.threads) >= 3:
-            out[0, 0] = np.nan
+            out.flat[0] = np.nan
         return out
+
+
+class DivergingTV(ThreadRecorder, IsotropicTV):
+    pass
+
+
+class DivergingL1(ThreadRecorder, L1Norm):
+    pass
 
 
 @pytest.mark.parametrize("diverge", [False, True])
 def test_band_worker_exits_once_the_solve_is_done(banded, diverge):
+    # the TV prox's row bands and the frame step's operator work share the
+    # solve's one worker
     inst = inpainting_instance(size=32, seed=0)
     config = SolverConfig(mu=0.05, epsilon=inst.epsilon, max_iterations=20)
-    before = set(threading.enumerate())
-    penalty = DivergingTV(diverge)
-    try:
-        solve(inst.operator, inst.observation, penalty, config)
-    except DivergenceError:
-        assert diverge
-    else:
-        assert not diverge
-    gc.collect()  # the exception's traceback holds the solve's frame in a cycle
-    # one worker, alive in every call of the solve, and gone after it
-    workers = set.union(*penalty.threads) - before
-    assert len(workers) == 1 and all(workers <= threads for threads in penalty.threads)
-    assert eventually(lambda: not any(t.is_alive() for t in workers))
-    assert threading.active_count() <= len(before)
+    frame = UndecimatedHaar(inst.truth.shape, levels=2)
+    for formulation, penalty in [("direct", DivergingTV(diverge)),
+                                 ("synthesis", DivergingL1(diverge)),
+                                 ("analysis", DivergingL1(diverge))]:
+        before = set(threading.enumerate())
+        try:
+            solve(inst.operator, inst.observation, penalty, config, formulation=formulation,
+                  frame=frame)
+        except DivergenceError:
+            assert diverge
+        else:
+            assert not diverge
+        gc.collect()  # the exception's traceback holds the solve's frame in a cycle
+        # one worker, alive in every call of the solve, and gone after it
+        workers = set.union(*penalty.threads) - before
+        assert len(workers) == 1 and all(workers <= threads for threads in penalty.threads)
+        assert eventually(lambda: not any(t.is_alive() for t in workers))
+        assert threading.active_count() <= len(before)

@@ -14,7 +14,12 @@ For each image side it times, on random float64 data:
 - the per-iteration record's own primitives: ``tv_norm`` of the image and
   ``L1Norm.evaluate`` of the frame coefficients, the objectives of the TV
   and the frame formulations, and ``l2_distance`` between two frame
-  coefficient vectors, the frame runs' primal residual (``record.primal``).
+  coefficient vectors, the frame runs' primal residual (``record.primal``);
+- one warm ``solver.step`` of ``deblur-uniform-syn`` (``step.synthesis``),
+  with the operator's work on the solve's worker thread and the coefficient
+  chain in blocks from ``ballast.prox.BAND_PIXELS`` up: the whole frame
+  step, where ``perfbench --trace 1`` splits it into layers only roughly,
+  since the worker's spans share the tracer's one span stack.
 
 Each repeat times a batch of calls sized to take about ``BATCH_MS``; a
 primitive's time is the fastest repeat's mean per call.  One JSON line per
@@ -53,7 +58,9 @@ from ballast import (
     tv_norm,
     tv_prox,
 )
+from ballast.harness import build_experiment
 from ballast.prox import l2_distance
+from ballast.solver import _initial_state, step
 
 BATCH_MS = 20.0  # target duration of one timed batch
 
@@ -90,7 +97,19 @@ def primitives(size, seed=0):
     calls["l1.evaluate"] = lambda: L1Norm().evaluate(coefficients)
     other = frame.analysis(rng.standard_normal(shape))
     calls["record.primal"] = lambda: l2_distance(coefficients, other)
+    calls["step.synthesis"] = synthesis_step(size)
     return calls
+
+
+def synthesis_step(size):
+    """One warm C-SALSA step of ``deblur-uniform-syn`` at ``size``; each call
+    steps on from the state the last one left."""
+    setup = build_experiment("deblur-uniform-syn", size=size)
+    inst = setup.instance
+    ball = BallConstraint(inst.observation, inst.epsilon)
+    state = _initial_state(inst.operator, inst.observation, setup.formulation, setup.frame)
+    return lambda: step(state, inst.operator, ball, setup.penalty, setup.config.mu,
+                        setup.formulation, setup.frame)
 
 
 def min_ms(fn, repeat):
