@@ -198,7 +198,13 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None, record=
     runs on the solve's worker (``prox.carry_worker``) beside the frame
     transform that does not need it: ``op.adjoint`` beside the synthesis,
     the feasibility block beside the analysis.  Each task is joined before
-    the chain starts, and before the step returns or raises.
+    the chain starts, and before the step returns or raises.  The
+    coefficient-sized passes are split there too (``_Halves``): the worker
+    adds the lower half of ``v[0] + d[0]``, queued before the adjoint, and
+    runs the chain over the lower half of the blocks, while the calling
+    thread takes the upper halves; each writes only its own slices of
+    fresh arrays, and the record's block sums are added in block order, so
+    the bits are those of one thread.
 
     In those two formulations at most six coefficient-sized arrays are
     alive at once: the last iterate's ``hu[0]``, ``v[0]`` and ``d[0]``, and
@@ -226,11 +232,19 @@ def _frame_step(state, op, ball, penalty, mu, formulation, frame, record):
     pixels = math.prod(op.in_shape)
     worker = carry_worker(state.carry, pixels)
     synthesis = formulation == "synthesis"
+    # u = s + W^H (x - W s) with s = v0 + d0 in the synthesis formulation,
+    # added in place into s, whose dtype the start fixed (``_initial_state``);
+    # with a worker its lower half is added there, queued before the adjoint
+    if worker is None:
+        s = v0 + d0
+    else:
+        s = np.empty(v0.shape, np.result_type(v0, d0))
+        adds = _Halves(worker, s.size, lambda b: np.add(v0[b], d0[b], out=s[b]))
     back = _WorkerTask(worker, lambda: op.adjoint(v1 + d1))
     with back:
-        # u = s + W^H (x - W s) with s = v0 + d0 in the synthesis formulation,
-        # added in place into s, whose dtype the start fixed (``_initial_state``)
-        s = v0 + d0
+        if worker is not None:
+            adds.result()
+            del adds  # its task holds a view of s, which the analysis step frees
         ws = frame.synthesis(s)
         if not synthesis:
             s = None  # the analysis step needs W s only
@@ -248,7 +262,7 @@ def _frame_step(state, op, ball, penalty, mu, formulation, frame, record):
     blocked = pixels >= prox.BAND_PIXELS
     v0_new, sums = _coefficient_chain(state, penalty, 1.0 / mu, hu0, d0_new, synthesis,
                                       prox.BLOCK if blocked else hu0.size,
-                                      blocked and record)
+                                      blocked and record, worker)
     _commit(state, feasibility.result(), hu0 if synthesis else x, x, v0_new, d0_new, hu0)
     state.carry["record"] = sums
     return state
@@ -272,6 +286,33 @@ class _WorkerTask:
 
     def result(self):
         return self.fn() if self.future is None else self.future.result()
+
+
+class _Halves:
+    """``fn(b)`` over the slices ``b`` of ``range(size)`` on either side of a
+    ``prox.BLOCK`` boundary near its middle: the lower slice on the solve's
+    worker, started at construction as a ``_WorkerTask``, and the upper on
+    the calling thread when ``result`` is read.
+
+    ``result`` joins both however either exits and returns ``(lower,
+    upper)``.  When the upper raises it waits for the lower, and raises the
+    lower's error if it has one: the error a pass in block order raises
+    first.  ``fn`` must write only its own slices of shared arrays.
+    """
+
+    def __init__(self, worker, size, fn):
+        cut = -(-size // prox.BLOCK) // 2 * prox.BLOCK
+        self.fn, self.upper = fn, slice(cut, size)
+        self.lower = _WorkerTask(worker, lambda: fn(slice(0, cut)))
+
+    def result(self):
+        with self.lower:
+            try:
+                upper = self.fn(self.upper)
+            except Exception:
+                self.lower.result()
+                raise
+        return self.lower.result(), upper
 
 
 def _check_finite(a, name, state):
@@ -306,7 +347,7 @@ def _commit(state, feasibility, u, x, v0, d0, hu0):
     return state
 
 
-def _coefficient_chain(state, penalty, tau, hu0, d0_new, synthesis, block, sums):
+def _coefficient_chain(state, penalty, tau, hu0, d0_new, synthesis, block, sums, worker):
     """The penalty block's update, ``block`` coefficients at a time:
     ``(v0_new, (objective, penalty-block residual))``, or ``(v0_new, None)``
     without ``sums``.
@@ -317,13 +358,38 @@ def _coefficient_chain(state, penalty, tau, hu0, d0_new, synthesis, block, sums)
     input; and with ``sums`` the record's ``penalty.evaluate(hu0)`` and
     ``||hu0 - v0_new||^2``.  The sums add ``prox.BLOCK`` block sums in order,
     so they keep the bits of ``L1Norm.evaluate`` and ``squared_distance`` on
-    the whole arrays.  The last iterate stays as it was: a non-finite prox
+    the whole arrays.  With a ``worker`` the blocks run in two halves
+    (``_Halves``), each writing only its own slices of the fresh ``hu0``,
+    ``d0_new`` and ``v0_new`` and returning its block sums for the caller to
+    add in order.  The last iterate stays as it was: a non-finite prox
     output raises ``DivergenceError`` with ``state``.
     """
-    v0, d0 = state.v[0], state.d[0]
-    v0_new = None
+    if worker is None:
+        v0_new, pairs = _chain_blocks(state, penalty, tau, hu0, d0_new, None, synthesis,
+                                      block, sums, slice(0, hu0.size))
+    else:
+        v0_new = np.empty_like(hu0)
+        lower, upper = _Halves(worker, hu0.size, lambda b: _chain_blocks(
+            state, penalty, tau, hu0, d0_new, v0_new, synthesis, block, sums, b)[1]).result()
+        pairs = lower + upper
+    if not sums:
+        return v0_new, None
     objective = squared = 0.0
-    for i in range(0, hu0.size, block):
+    for block_objective, block_squared in pairs:
+        objective += block_objective
+        squared += block_squared
+    return v0_new, (objective, math.sqrt(squared))
+
+
+def _chain_blocks(state, penalty, tau, hu0, d0_new, v0_new, synthesis, block, sums, span):
+    """``_coefficient_chain``'s blocks within the slice ``span``, which starts
+    on a block boundary and ends on one or at the array's end: ``(v0_new,
+    [(objective, squared residual) per block if sums])``.  ``v0_new`` is
+    None for a pass over every block, which allocates it, or takes the
+    prox's own output for one block."""
+    v0, d0 = state.v[0], state.d[0]
+    pairs = []
+    for i in range(span.start, span.stop, block):
         b = slice(i, i + block)
         h, w = hu0[b], d0_new[b]
         if synthesis:
@@ -350,18 +416,17 @@ def _coefficient_chain(state, penalty, tau, hu0, d0_new, synthesis, block, sums)
             w -= d0[b]
         p = penalty.prox(w, tau, state.carry)
         _check_finite(p, "v[0]", state)
-        if block >= hu0.size and not np.may_share_memory(p, w):
-            v0_new = p  # one block: the prox's own output is the new v0
-        else:
-            if v0_new is None:
-                v0_new = np.empty_like(hu0)
+        if v0_new is None:
+            # one block: the prox's own output is the new v0
+            v0_new = (p if block >= hu0.size and not np.may_share_memory(p, w)
+                      else np.empty_like(hu0))
+        if v0_new is not p:
             v0_new[b] = p
         p = v0_new[b]
         np.subtract(p, w, out=w)
         if sums:
-            objective += penalty.evaluate(h)
-            squared += squared_distance(h, p)
-    return v0_new, (objective, math.sqrt(squared)) if sums else None
+            pairs.append((penalty.evaluate(h), squared_distance(h, p)))
+    return v0_new, pairs
 
 
 def check_stop(record, config):
@@ -422,8 +487,10 @@ def solve(op, y, penalty, config, truth=None, formulation="direct", frame=None):
     ``penalty.evaluate`` on consecutive blocks of the coefficient vector
     (``prox.BLOCK`` long from ``prox.BAND_PIXELS`` pixels up, else the whole
     vector), so the prox must act elementwise and the objective must be a
-    sum over elements.  ``L1Norm`` does both; ``IsotropicTV`` cannot take
-    coefficients.
+    sum over elements.  Where the solve has a worker thread, the two may
+    run on two threads at once, on disjoint blocks, so they must keep no
+    state in the ``carry``.  ``L1Norm`` does all of this; ``IsotropicTV``
+    cannot take coefficients.
 
     The start ``x0`` is ``y`` itself when ``y`` is a real image, shaped
     like the operator's domain, and ``B``'s output is real; otherwise it is

@@ -1,5 +1,9 @@
 """Solver engine tests: step algebra, analytic fixed points, invariants."""
 
+import dataclasses
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -202,12 +206,56 @@ def test_dual_update_identity_recomputes_bitwise(monkeypatch):
                                                          frame)
             assert_steps_recompute_bitwise(op, ball, formulation, frame, states[cpus], 3)
             assert ("worker" in states[cpus].carry) == (cpus == 2)
-        for field in ("u", "x"):
-            assert getattr(states[2], field).tobytes() == getattr(states[1], field).tobytes()
-        for field in ("v", "d", "hu"):
-            for a, b in zip(getattr(states[2], field), getattr(states[1], field)):
-                assert a.tobytes() == b.tobytes()
-        assert states[2].carry["record"] == states[1].carry["record"]
+        assert_same_bits(states[2], states[1])
+
+
+def assert_same_bits(state, other):
+    """``u``, ``x``, ``v``, ``d``, ``hu`` and the record sums of ``state`` are
+    bitwise those of ``other``."""
+    for field in ("u", "x"):
+        assert getattr(state, field).tobytes() == getattr(other, field).tobytes()
+    for field in ("v", "d", "hu"):
+        for a, b in zip(getattr(state, field), getattr(other, field)):
+            assert a.tobytes() == b.tobytes()
+    assert state.carry["record"] == other.carry["record"]
+
+
+class ThreadNamingL1(L1Norm):
+    """l1 whose prox records the thread of each call."""
+
+    def __init__(self):
+        self.threads = []
+
+    def prox(self, v, tau, carry=None):
+        self.threads.append(threading.current_thread())
+        return super().prox(v, tau, carry)
+
+
+@pytest.mark.parametrize("formulation", ["synthesis", "analysis"])
+def test_coefficient_chain_runs_its_halves_on_two_threads(formulation, monkeypatch):
+    # from 256^2 up on two CPUs the chain's lower blocks run on the solve's
+    # worker and its upper blocks on the calling thread, as do the halves of
+    # v0 + d0; each half writes only its own slices and the record's block
+    # sums are added in block order, so the step has the one-thread bits
+    inst = deblur_instance("uniform", 0.56, size=256, seed=4)
+    op = inst.operator
+    ball = BallConstraint(inst.observation, inst.epsilon)
+    frame = UndecimatedHaar(op.in_shape, levels=2)
+    blocks = -(-frame.coefficient_length // ballast.prox.BLOCK)
+    states, threads = {}, {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(ballast.prox, "_usable_cpus", lambda: cpus)
+        state = ballast.solver._initial_state(op, inst.observation, formulation, frame)
+        step(state, op, ball, L1Norm(), 0.7, formulation, frame)  # nonzero duals
+        penalty = ThreadNamingL1()
+        step(state, op, ball, penalty, 0.7, formulation, frame)
+        states[cpus], threads[cpus] = state, penalty.threads
+    caller = threading.current_thread()
+    assert threads[1] == [caller] * blocks
+    assert len(threads[2]) == blocks and len(set(threads[2])) == 2
+    assert threads[2].count(caller) == blocks - blocks // 2
+    assert states[2].carry["record"] is not None
+    assert_same_bits(states[2], states[1])
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.8])
@@ -288,6 +336,31 @@ def test_frame_solve_peak_memory_is_about_six_coefficient_arrays(name):
         if started:
             tracemalloc.stop()
     assert peak <= 7.0 * coefficient_bytes, peak / coefficient_bytes
+
+
+def test_split_frame_solve_peak_memory_at_256(monkeypatch):
+    # from 256^2 up on two CPUs both threads hold a block's prox output and
+    # its record buffer while the chain runs: 6.78 coefficient arrays
+    # measured over 3 iterations (6.74 with the chain on one thread), bounded
+    # with a margin of three 32,768-coefficient blocks (0.115 of an array)
+    monkeypatch.setattr(ballast.prox, "_usable_cpus", lambda: 2)
+    setup = build_experiment("deblur-uniform-syn", size=256)  # built outside tracing
+    setup = dataclasses.replace(setup, config=dataclasses.replace(setup.config,
+                                                                  max_iterations=3))
+    coefficient_bytes = setup.frame.coefficient_length * 8
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = run_experiment(setup)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert report.iterations == 3
+    assert peak <= 6.9 * coefficient_bytes, peak / coefficient_bytes
 
 
 def test_feasibility_block_stays_in_ball_every_iteration():
@@ -788,12 +861,34 @@ def test_divergence_state_is_last_finite_iterate(formulation, monkeypatch):
     assert_states_equal(excinfo.value.state, snapshot)
 
 
+class BlockPoisonedL1(L1Norm):
+    """l1 whose prox returns a NaN in the block that starts at coefficient
+    ``start`` from its ``step``-th step on, ``blocks`` prox calls a step."""
+
+    def __init__(self, start, step, blocks):
+        self.start, self.first_call = start, (step - 1) * blocks
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def prox(self, v, tau, carry=None):
+        with self.lock:
+            self.calls += 1
+            late = self.calls > self.first_call
+        out = super().prox(v, tau, carry)
+        owner = v if v.base is None else v.base
+        offset = (v.__array_interface__["data"][0] - owner.__array_interface__["data"][0])
+        if late and offset // v.itemsize == self.start:
+            out[0] = np.nan
+        return out
+
+
 @pytest.mark.parametrize("formulation", ["synthesis", "analysis"])
 def test_divergence_in_the_last_block_carries_the_last_iterate(formulation, monkeypatch):
-    # at 256^2 the coefficient chain writes each block's new u (synthesis),
-    # v[0] and d[0] before it checks the next block's prox output; a prox
-    # that goes non-finite in the last block only must still leave the
-    # error's state equal to the last iterate
+    # at 256^2 on two CPUs the coefficient chain's halves write each block's
+    # new u (synthesis), v[0] and d[0] before they check the next block's
+    # prox output; a prox that goes non-finite only in the last block (the
+    # calling thread's half) or only in the first (the worker's) must still
+    # leave the error's state equal to the last iterate
     monkeypatch.setattr(ballast.prox, "_usable_cpus", lambda: 2)
     iterations = 3
     inst = deblur_instance("uniform", 0.56, size=256, seed=6)
@@ -806,13 +901,99 @@ def test_divergence_in_the_last_block_carries_the_last_iterate(formulation, monk
     for _ in range(iterations - 1):
         step(snapshot, op, ball, L1Norm(), 0.7, formulation, frame)
 
-    penalty = PoisonedL1(poison_at=blocks * iterations)  # the last block of the last step
     config = SolverConfig(mu=0.7, epsilon=inst.epsilon, max_iterations=50)
-    with pytest.raises(DivergenceError, match=rf"v\[0\] at iteration {iterations}$") as excinfo:
-        solve(op, inst.observation, penalty, config, formulation=formulation, frame=frame)
-    assert penalty.calls == blocks * iterations
-    assert len(excinfo.value.history) == iterations - 1
-    assert_states_equal(excinfo.value.state, snapshot)
+    for poisoned in (blocks - 1, 0):
+        penalty = BlockPoisonedL1(poisoned * ballast.prox.BLOCK, iterations, blocks)
+        with pytest.raises(DivergenceError,
+                           match=rf"v\[0\] at iteration {iterations}$") as excinfo:
+            solve(op, inst.observation, penalty, config, formulation=formulation, frame=frame)
+        # the poisoned half stops at its bad block, the other runs to its end
+        worker_calls = 1 if poisoned == 0 else blocks // 2
+        assert penalty.calls == (iterations - 1) * blocks + worker_calls + blocks - blocks // 2
+        assert len(excinfo.value.history) == iterations - 1
+        assert_states_equal(excinfo.value.state, snapshot)
+
+
+def test_split_chain_keeps_its_bits_under_thread_switching(monkeypatch):
+    # three solves at once, each with its own worker (six threads on any
+    # host), switching threads every few microseconds: the halves share no
+    # state but their own slices, so each solve keeps the one-thread bits
+    monkeypatch.setattr(ballast.prox, "BAND_PIXELS", 32 * 32)
+    monkeypatch.setattr(ballast.prox, "BLOCK", 512)  # 14 blocks of 7,168 coefficients
+    inst = deblur_instance("uniform", 0.56, size=32, seed=2)
+    frame = UndecimatedHaar(inst.truth.shape, levels=2)
+    config = SolverConfig(mu=0.7, epsilon=inst.epsilon, max_iterations=12, rel_tol=0.0)
+
+    def run(formulation):
+        res = solve(inst.operator, inst.observation, L1Norm(), config, formulation=formulation,
+                    frame=frame)
+        return res.estimate.tobytes(), [(r.objective, r.primal_residual) for r in res.history]
+
+    monkeypatch.setattr(ballast.prox, "_usable_cpus", lambda: 1)
+    expected = {f: run(f) for f in ("synthesis", "analysis")}
+    monkeypatch.setattr(ballast.prox, "_usable_cpus", lambda: 2)
+    got = {}
+    jobs = [("synthesis", 0), ("analysis", 1), ("synthesis", 2)]
+    threads = [threading.Thread(target=lambda f=f, i=i: got.__setitem__(i, run(f)))
+               for f, i in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [got[i] for _, i in jobs] == [expected[f] for f, _ in jobs]
+
+
+class LowerHalfError(RuntimeError):
+    pass
+
+
+class SlowWorkerL1(L1Norm):
+    """l1 whose prox returns a NaN on the calling thread; on any other thread
+    it sleeps, counts the call once done, and raises ``LowerHalfError`` at
+    the end of its ``raise_at``-th call."""
+
+    def __init__(self, raise_at=None):
+        self.caller = threading.current_thread()
+        self.raise_at = raise_at
+        self.finished = 0
+
+    def prox(self, v, tau, carry=None):
+        out = super().prox(v, tau, carry)
+        if threading.current_thread() is self.caller:
+            out[0] = np.nan
+            return out
+        time.sleep(0.02)
+        self.finished += 1
+        if self.finished == self.raise_at:
+            raise LowerHalfError("the worker's half failed")
+        return out
+
+
+@pytest.mark.parametrize("lower_raises", [False, True])
+def test_an_error_in_the_callers_half_waits_for_the_workers_half(lower_raises, monkeypatch):
+    # the calling thread's half fails at its first block while the worker's
+    # half is still running: the step raises only once that half is done,
+    # and where both fail it raises the worker's error, the lower blocks'
+    # one, which a pass in block order would raise first
+    monkeypatch.setattr(ballast.prox, "_usable_cpus", lambda: 2)
+    inst = deblur_instance("uniform", 0.56, size=256, seed=6)
+    op = inst.operator
+    ball = BallConstraint(inst.observation, inst.epsilon)
+    frame = UndecimatedHaar(op.in_shape, levels=2)
+    lower = -(-frame.coefficient_length // ballast.prox.BLOCK) // 2
+    state = ballast.solver._initial_state(op, inst.observation, "synthesis", frame)
+    penalty = SlowWorkerL1(raise_at=lower if lower_raises else None)
+    expected = LowerHalfError if lower_raises else DivergenceError
+    with pytest.raises(expected):
+        step(state, op, ball, penalty, 0.7, "synthesis", frame)
+    assert penalty.finished == lower
+    assert state.k == 0
 
 
 def test_solve_without_truth_records_nan_mse():

@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under tools/."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -111,3 +112,21 @@ def test_bench_names_failed_perfbench_runs_and_exits_one(tmp_path, monkeypatch, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2
     assert "mri --trace 0" in err[0] and "mri --trace 1" in err[1]
+
+
+def test_seeds_replays_the_gate_per_run_and_exits_one_on_a_failing_seed(monkeypatch, capsys):
+    seeds = load_tool("seeds")
+    runs = ["deblur-gauss-lo-syn", "mri"]
+    code = seeds.main(["--seeds", "2", "--size", "16", "--runs", *runs])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == runs
+    # the bounds are criterion 8's 3x its reference count and criterion 5's 300
+    assert "(bound 408)" in lines[0] and "(bound 300)" in lines[1]
+    assert code == int(any("failing seeds: none" not in line for line in lines))
+
+    # a run past its bound fails its criterion at every seed
+    run = seeds.run_experiment
+    monkeypatch.setattr(seeds, "run_experiment",
+                        lambda setup: dataclasses.replace(run(setup), iterations=10**6))
+    assert seeds.main(["--seeds", "2", "--size", "16", "--runs", "mri"]) == 1
+    assert capsys.readouterr().out.strip().endswith("failing seeds: 0 1")
