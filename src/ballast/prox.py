@@ -33,14 +33,15 @@ BLOCK = 32768
 # Chambolle's dual step, 1/8: the bound of his 2004 convergence proof.
 DUAL_STEP = 0.125
 
-# Pixels from which a solve uses a second thread (``carry_worker``):
-# ``IsotropicTV.prox`` runs as two row bands, and the frame step runs its
-# operator work beside its frame transforms and its coefficient chain in
-# ``BLOCK`` blocks.  Measured in whole solves on a 2-core host (ROADMAP): at
-# 128^2 the bands lose, since short ufunc calls contend for the GIL and the
-# ghost rows are a large share of a half, and the blocked chain loses to its
-# per-block calls; at 192^2 the bands gain on inpaint but not on
-# deblur-uniform-tv; at 256^2 and 512^2 they gain on both.
+# Pixels from which a solve uses a second thread (``carry_worker``, through
+# ``beside``): ``IsotropicTV.prox`` runs as two row bands, and the frame step
+# runs its operator work beside its frame transforms and its coefficient
+# chain in ``BLOCK`` blocks, in two halves (in block order on one CPU).
+# Measured in whole solves on a 2-core host (ROADMAP): at 128^2 the bands
+# lose, since short ufunc calls contend for the GIL and the ghost rows are a
+# large share of a half, and the blocked chain loses to its per-block calls;
+# at 192^2 the bands gain on inpaint but not on deblur-uniform-tv; at 256^2
+# and 512^2 they gain on both.
 BAND_PIXELS = 256 * 256
 
 
@@ -294,9 +295,9 @@ class IsotropicTV:
     holds each band's dual field (own and ghost rows) one band after
     another: with one band it is exactly ``tv_prox``'s ``(2, h*w)`` dual.
     Each call first copies every band's ghost rows from the other band's
-    own rows; then the lower band runs on the solve's worker
-    (``carry_worker``), the upper on the calling thread, and each writes its
-    own rows into the one output image.
+    own rows; then ``beside`` runs the lower band on the solve's worker
+    (``carry_worker``) and the upper on the calling thread, and each writes
+    its own rows into the one output image.
     """
 
     kind = "tv"
@@ -334,13 +335,11 @@ class IsotropicTV:
         upper[:, cut * w:] = lower[:, ghost * w:2 * ghost * w]
         lower[:, :ghost * w] = upper[:, (cut - ghost) * w:cut * w]
         out = np.empty_like(v)
-        lower_band = worker.submit(_chambolle, v[cut - ghost:], tau, lower, self.iterations,
-                                   DUAL_STEP, out[cut:], slice(ghost, None))
-        try:
-            _chambolle(v[:cut + ghost], tau, upper, self.iterations, DUAL_STEP, out[:cut],
-                       slice(None, cut))
-        finally:
-            lower_band.result()
+        beside(worker,
+               lambda: _chambolle(v[cut - ghost:], tau, lower, self.iterations, DUAL_STEP,
+                                  out[cut:], slice(ghost, None)),
+               lambda: _chambolle(v[:cut + ghost], tau, upper, self.iterations, DUAL_STEP,
+                                  out[:cut], slice(None, cut)))
         return out
 
 
@@ -349,14 +348,33 @@ def carry_worker(carry, pixels):
 
     The first call for an image of at least ``BAND_PIXELS`` pixels makes it
     when the process may run on two CPUs; smaller images, and one CPU, get
-    None.  The TV prox's row bands and the frame step's operator work share
-    it.  It lives as long as the carry, so it exits once the solve that owns
-    the carry is dropped.
+    None.  The TV prox's row bands and the frame step's pieces share it,
+    each handed over by ``beside``.  It lives as long as the carry, so it
+    exits once the solve that owns the carry is dropped.
     """
     worker = carry.get("worker")
     if worker is None and pixels >= BAND_PIXELS and _usable_cpus() >= 2:
         worker = carry["worker"] = ThreadPoolExecutor(1, thread_name_prefix="ballast")
     return worker
+
+
+def beside(worker, background, foreground):
+    """``(background(), foreground())``: ``background`` on the ``worker``
+    beside ``foreground`` on the calling thread, or without a worker the two
+    in that order.  Either way it returns or raises what that order would:
+    the task is joined however ``foreground`` exits, and where both raise,
+    ``background``'s error is raised.  ``background`` must not call
+    ``beside`` on the same worker, which would wait on its own queue; a
+    ``foreground`` that does queues its background behind this one.
+    """
+    if worker is None:
+        return background(), foreground()
+    task = worker.submit(background)
+    try:
+        front = foreground()
+    finally:
+        back = task.result()  # raised here, it replaces foreground's error
+    return back, front
 
 
 def _usable_cpus():

@@ -21,14 +21,13 @@ unknown itself, which is the image (``"direct"``) or its frame coefficients
 
 import math
 import time
-from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import prox
-from .prox import (BallConstraint, carry_worker, l2_distance, l2_norm, mse, project_ball,
-                   squared_distance)
+from .prox import (BallConstraint, beside, carry_worker, l2_distance, l2_norm, mse,
+                   project_ball, squared_distance)
 
 __all__ = [
     "SolverConfig",
@@ -194,17 +193,16 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None, record=
     penalty-block residual into ``state.carry["record"]``, which is None
     where the step took no sums; ``solve`` passes ``record_history`` as
     ``record`` and takes any sums it needs that the step did not take from
-    the whole arrays.  Where two CPUs are usable there, the operator's work
-    runs on the solve's worker (``prox.carry_worker``) beside the frame
-    transform that does not need it: ``op.adjoint`` beside the synthesis,
-    the feasibility block beside the analysis.  Each task is joined before
-    the chain starts, and before the step returns or raises.  The
-    coefficient-sized passes are split there too (``_Halves``): the worker
-    adds the lower half of ``v[0] + d[0]``, queued before the adjoint, and
-    runs the chain over the lower half of the blocks, while the calling
-    thread takes the upper halves; each writes only its own slices of
-    fresh arrays, and the record's block sums are added in block order, so
-    the bits are those of one thread.
+    the whole arrays.  Where the solve has a worker (``prox.carry_worker``),
+    ``prox.beside`` hands it the step's independent pieces and joins each
+    before the step goes on, returns or raises: the lower halves of ``v[0]
+    + d[0]`` and, from the crossover up, of the chain's blocks, beside the
+    upper halves on the calling thread; once both halves of the add are
+    done, ``op.adjoint`` beside the synthesis; and the feasibility block
+    beside the analysis and the chain, whose lower half queues behind it.
+    Each half writes only its own slices of fresh arrays, and the record's
+    block sums are added in block order, so the bits are those of one
+    thread.
 
     In those two formulations at most six coefficient-sized arrays are
     alive at once: the last iterate's ``hu[0]``, ``v[0]`` and ``d[0]``, and
@@ -233,86 +231,42 @@ def _frame_step(state, op, ball, penalty, mu, formulation, frame, record):
     worker = carry_worker(state.carry, pixels)
     synthesis = formulation == "synthesis"
     # u = s + W^H (x - W s) with s = v0 + d0 in the synthesis formulation,
-    # added in place into s, whose dtype the start fixed (``_initial_state``);
-    # with a worker its lower half is added there, queued before the adjoint
-    if worker is None:
-        s = v0 + d0
-    else:
-        s = np.empty(v0.shape, np.result_type(v0, d0))
-        adds = _Halves(worker, s.size, lambda b: np.add(v0[b], d0[b], out=s[b]))
-    back = _WorkerTask(worker, lambda: op.adjoint(v1 + d1))
-    with back:
-        if worker is not None:
-            adds.result()
-            del adds  # its task holds a view of s, which the analysis step frees
-        ws = frame.synthesis(s)
-        if not synthesis:
-            s = None  # the analysis step needs W s only
-    x = op.shifted_normal_inverse(ws + back.result())
+    # added in place into s, whose dtype the start fixed (``_initial_state``)
+    s = np.empty(v0.shape, np.result_type(v0, d0))
+    _halves(worker, s.size, lambda b: np.add(v0[b], d0[b], out=s[b]))
+    back, ws = beside(worker, lambda: op.adjoint(v1 + d1), lambda: frame.synthesis(s))
+    if not synthesis:
+        s = None  # the analysis step needs W s only
+    x = op.shifted_normal_inverse(ws + back)
     del back
     _check_finite(x, "u", state)
-    feasibility = _WorkerTask(worker, lambda: _feasibility(state, op, ball, x))
-    with feasibility:
-        a = frame.analysis(x - ws) if synthesis else frame.analysis(x)
-    # the correction a becomes the new d0 in the synthesis formulation; the
-    # analysis's Hu = a needs a fresh one
-    hu0, d0_new = (s, a) if synthesis else (a, np.empty_like(a))
     # below the crossover the chain is one block, and block sums there would
     # save no pass over the arrays: solve takes the record's sums after the step
     blocked = pixels >= prox.BAND_PIXELS
-    v0_new, sums = _coefficient_chain(state, penalty, 1.0 / mu, hu0, d0_new, synthesis,
-                                      prox.BLOCK if blocked else hu0.size,
-                                      blocked and record, worker)
-    _commit(state, feasibility.result(), hu0 if synthesis else x, x, v0_new, d0_new, hu0)
+
+    def penalty_block():
+        a = frame.analysis(x - ws if synthesis else x)
+        # the correction a becomes the new d0 in the synthesis formulation;
+        # the analysis's Hu = a needs a fresh one
+        hu0, d0_new = (s, a) if synthesis else (a, np.empty_like(a))
+        return (hu0, d0_new, *_coefficient_chain(state, penalty, 1.0 / mu, hu0, d0_new,
+                                                 synthesis, blocked, blocked and record,
+                                                 worker))
+
+    feasibility, (hu0, d0_new, v0_new, sums) = beside(
+        worker, lambda: _feasibility(state, op, ball, x), penalty_block)
+    _commit(state, feasibility, hu0 if synthesis else x, x, v0_new, d0_new, hu0)
     state.carry["record"] = sums
     return state
 
 
-class _WorkerTask:
-    """``fn`` started on the solve's worker and joined when a ``with`` block
-    on the task exits, however it exits; without a worker, ``fn`` runs when
-    its result is read, so that its arrays are not alive before then."""
-
-    def __init__(self, worker, fn):
-        self.fn = fn
-        self.future = None if worker is None else worker.submit(fn)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self.future is not None:
-            wait((self.future,))
-
-    def result(self):
-        return self.fn() if self.future is None else self.future.result()
-
-
-class _Halves:
-    """``fn(b)`` over the slices ``b`` of ``range(size)`` on either side of a
-    ``prox.BLOCK`` boundary near its middle: the lower slice on the solve's
-    worker, started at construction as a ``_WorkerTask``, and the upper on
-    the calling thread when ``result`` is read.
-
-    ``result`` joins both however either exits and returns ``(lower,
-    upper)``.  When the upper raises it waits for the lower, and raises the
-    lower's error if it has one: the error a pass in block order raises
-    first.  ``fn`` must write only its own slices of shared arrays.
-    """
-
-    def __init__(self, worker, size, fn):
-        cut = -(-size // prox.BLOCK) // 2 * prox.BLOCK
-        self.fn, self.upper = fn, slice(cut, size)
-        self.lower = _WorkerTask(worker, lambda: fn(slice(0, cut)))
-
-    def result(self):
-        with self.lower:
-            try:
-                upper = self.fn(self.upper)
-            except Exception:
-                self.lower.result()
-                raise
-        return self.lower.result(), upper
+def _halves(worker, size, fn):
+    """``(fn(lower), fn(upper))`` through ``prox.beside``, for the slices of
+    ``range(size)`` on either side of a ``prox.BLOCK`` boundary near its
+    middle: the lower slice on the solve's worker, if there is one.  ``fn``
+    must write only its own slices of shared arrays."""
+    cut = -(-size // prox.BLOCK) // 2 * prox.BLOCK
+    return beside(worker, lambda: fn(slice(0, cut)), lambda: fn(slice(cut, size)))
 
 
 def _check_finite(a, name, state):
@@ -347,30 +301,30 @@ def _commit(state, feasibility, u, x, v0, d0, hu0):
     return state
 
 
-def _coefficient_chain(state, penalty, tau, hu0, d0_new, synthesis, block, sums, worker):
-    """The penalty block's update, ``block`` coefficients at a time:
-    ``(v0_new, (objective, penalty-block residual))``, or ``(v0_new, None)``
-    without ``sums``.
+def _coefficient_chain(state, penalty, tau, hu0, d0_new, synthesis, blocked, sums, worker):
+    """The penalty block's update: ``(v0_new, (objective, penalty-block
+    residual))``, or ``(v0_new, None)`` without ``sums``.
 
     Per block: in the synthesis formulation ``u += correction``, with the
     correction held in ``d0_new``; the prox input, formed in ``d0_new``;
     ``penalty.prox``, checked finite; the dual update, written over the prox
     input; and with ``sums`` the record's ``penalty.evaluate(hu0)`` and
-    ``||hu0 - v0_new||^2``.  The sums add ``prox.BLOCK`` block sums in order,
-    so they keep the bits of ``L1Norm.evaluate`` and ``squared_distance`` on
-    the whole arrays.  With a ``worker`` the blocks run in two halves
-    (``_Halves``), each writing only its own slices of the fresh ``hu0``,
-    ``d0_new`` and ``v0_new`` and returning its block sums for the caller to
-    add in order.  The last iterate stays as it was: a non-finite prox
-    output raises ``DivergenceError`` with ``state``.
+    ``||hu0 - v0_new||^2``.  Not ``blocked``, the whole array is one block.
+    ``blocked``, the blocks are ``prox.BLOCK`` long and run in two halves
+    (``_halves``), the lower on the ``worker`` if there is one: each half
+    writes only its own slices of the fresh ``hu0``, ``d0_new`` and
+    ``v0_new`` and returns its block sums, added here in block order, so
+    the sums keep the bits of ``L1Norm.evaluate`` and ``squared_distance``
+    on the whole arrays.  The last iterate stays as it was: a non-finite
+    prox output raises ``DivergenceError`` with ``state``.
     """
-    if worker is None:
+    if not blocked:
         v0_new, pairs = _chain_blocks(state, penalty, tau, hu0, d0_new, None, synthesis,
-                                      block, sums, slice(0, hu0.size))
+                                      hu0.size, sums, slice(0, hu0.size))
     else:
         v0_new = np.empty_like(hu0)
-        lower, upper = _Halves(worker, hu0.size, lambda b: _chain_blocks(
-            state, penalty, tau, hu0, d0_new, v0_new, synthesis, block, sums, b)[1]).result()
+        lower, upper = _halves(worker, hu0.size, lambda b: _chain_blocks(
+            state, penalty, tau, hu0, d0_new, v0_new, synthesis, prox.BLOCK, sums, b)[1])
         pairs = lower + upper
     if not sums:
         return v0_new, None
@@ -385,8 +339,8 @@ def _chain_blocks(state, penalty, tau, hu0, d0_new, v0_new, synthesis, block, su
     """``_coefficient_chain``'s blocks within the slice ``span``, which starts
     on a block boundary and ends on one or at the array's end: ``(v0_new,
     [(objective, squared residual) per block if sums])``.  ``v0_new`` is
-    None for a pass over every block, which allocates it, or takes the
-    prox's own output for one block."""
+    None for a pass that is one whole-array block, which takes the prox's
+    own output as ``v0_new``."""
     v0, d0 = state.v[0], state.d[0]
     pairs = []
     for i in range(span.start, span.stop, block):
@@ -417,9 +371,8 @@ def _chain_blocks(state, penalty, tau, hu0, d0_new, v0_new, synthesis, block, su
         p = penalty.prox(w, tau, state.carry)
         _check_finite(p, "v[0]", state)
         if v0_new is None:
-            # one block: the prox's own output is the new v0
-            v0_new = (p if block >= hu0.size and not np.may_share_memory(p, w)
-                      else np.empty_like(hu0))
+            # the whole array: the prox's own output is the new v0
+            v0_new = p if not np.may_share_memory(p, w) else np.empty_like(hu0)
         if v0_new is not p:
             v0_new[b] = p
         p = v0_new[b]

@@ -9,6 +9,7 @@ import gc
 import multiprocessing
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -462,3 +463,76 @@ def test_band_worker_exits_once_the_solve_is_done(banded, diverge):
         assert len(workers) == 1 and all(workers <= threads for threads in penalty.threads)
         assert eventually(lambda: not any(t.is_alive() for t in workers))
         assert threading.active_count() <= len(before)
+
+
+# ---------------------------------------------------------------------------
+# beside: the one hand-off to the solve's worker
+# ---------------------------------------------------------------------------
+
+class BackgroundError(RuntimeError):
+    pass
+
+
+class ForegroundError(RuntimeError):
+    pass
+
+
+@pytest.fixture(params=["worker", "none"])
+def worker(request):
+    """A real one-thread executor, or None: the two cases of ``beside``."""
+    if request.param == "none":
+        yield None
+        return
+    with ThreadPoolExecutor(1, thread_name_prefix="beside-test") as executor:
+        yield executor
+
+
+def test_beside_returns_background_then_foreground(worker):
+    assert ballast.prox.beside(worker, lambda: "back", lambda: "front") == ("back", "front")
+
+
+def test_beside_runs_background_on_the_worker_else_first(worker):
+    calls = []
+
+    def record(name):
+        calls.append((name, threading.current_thread()))
+        return name
+
+    caller = threading.current_thread()
+    ballast.prox.beside(worker, lambda: record("background"), lambda: record("foreground"))
+    threads = dict(calls)
+    assert threads["foreground"] is caller
+    if worker is None:
+        assert calls == [("background", caller), ("foreground", caller)]
+    else:
+        assert threads["background"] is not caller
+        assert threads["background"].name.startswith("beside-test")
+
+
+def test_beside_raises_foreground_error_once_background_is_done(worker):
+    finished = []
+
+    def background():
+        time.sleep(0.05)
+        finished.append(True)
+
+    def foreground():
+        raise ForegroundError("front")
+
+    with pytest.raises(ForegroundError):
+        ballast.prox.beside(worker, background, foreground)
+    assert finished == [True]
+
+
+def test_beside_raises_background_error_when_both_raise(worker):
+    # the error the sequential order raises, which there is background's
+    # alone; with a worker the foreground fails first, while it sleeps
+    def background():
+        time.sleep(0.05)
+        raise BackgroundError("back")
+
+    def foreground():
+        raise ForegroundError("front")
+
+    with pytest.raises(BackgroundError):
+        ballast.prox.beside(worker, background, foreground)

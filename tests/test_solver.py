@@ -884,12 +884,12 @@ class BlockPoisonedL1(L1Norm):
 
 @pytest.mark.parametrize("formulation", ["synthesis", "analysis"])
 def test_divergence_in_the_last_block_carries_the_last_iterate(formulation, monkeypatch):
-    # at 256^2 on two CPUs the coefficient chain's halves write each block's
-    # new u (synthesis), v[0] and d[0] before they check the next block's
-    # prox output; a prox that goes non-finite only in the last block (the
-    # calling thread's half) or only in the first (the worker's) must still
-    # leave the error's state equal to the last iterate
-    monkeypatch.setattr(ballast.prox, "_usable_cpus", lambda: 2)
+    # at 256^2 the coefficient chain's halves write each block's new u
+    # (synthesis), v[0] and d[0] before they check the next block's prox
+    # output; a prox that goes non-finite only in the last block (the
+    # calling thread's half) or only in the first (the worker's, or on one
+    # CPU the first half run) must still leave the error's state equal to
+    # the last iterate
     iterations = 3
     inst = deblur_instance("uniform", 0.56, size=256, seed=6)
     op = inst.operator
@@ -902,14 +902,19 @@ def test_divergence_in_the_last_block_carries_the_last_iterate(formulation, monk
         step(snapshot, op, ball, L1Norm(), 0.7, formulation, frame)
 
     config = SolverConfig(mu=0.7, epsilon=inst.epsilon, max_iterations=50)
-    for poisoned in (blocks - 1, 0):
+    for cpus, poisoned in [(2, blocks - 1), (2, 0), (1, blocks - 1), (1, 0)]:
+        monkeypatch.setattr(ballast.prox, "_usable_cpus", lambda: cpus)
         penalty = BlockPoisonedL1(poisoned * ballast.prox.BLOCK, iterations, blocks)
         with pytest.raises(DivergenceError,
                            match=rf"v\[0\] at iteration {iterations}$") as excinfo:
             solve(op, inst.observation, penalty, config, formulation=formulation, frame=frame)
-        # the poisoned half stops at its bad block, the other runs to its end
-        worker_calls = 1 if poisoned == 0 else blocks // 2
-        assert penalty.calls == (iterations - 1) * blocks + worker_calls + blocks - blocks // 2
+        if cpus == 2:
+            # the poisoned half stops at its bad block, the other runs to its end
+            last_step = (1 if poisoned == 0 else blocks // 2) + blocks - blocks // 2
+        else:
+            # the halves run in block order: a pass stops at its bad block
+            last_step = poisoned + 1
+        assert penalty.calls == (iterations - 1) * blocks + last_step
         assert len(excinfo.value.history) == iterations - 1
         assert_states_equal(excinfo.value.state, snapshot)
 

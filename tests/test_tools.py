@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,21 @@ def test_microbench_prints_one_json_line_per_primitive(capsys):
         assert set(line["min_ms"]) == {"16"} and line["min_ms"]["16"] > 0
         assert line["repeat"] == 1 and line["nproc"] >= 1
         assert line["numpy"] and line["git_sha"]
+
+
+def test_microbench_times_a_slow_primitive_over_several_calls(monkeypatch):
+    # a primitive slower than a whole batch is still timed as a mean of 3
+    # calls per batch, not as the fastest of single calls
+    microbench = load_tool("microbench")
+    monkeypatch.setattr(microbench, "BATCH_MS", 1.0)
+    calls = []
+
+    def slow():
+        calls.append(None)
+        time.sleep(0.003)
+
+    assert microbench.min_ms(slow, repeat=2) >= 3.0
+    assert len(calls) == 1 + 2 * 3  # the warm-up, then two batches
 
 
 def test_bench_writes_catalog_and_sweep(tmp_path, monkeypatch, capsys):

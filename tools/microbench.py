@@ -21,10 +21,10 @@ For each image side it times, on random float64 data:
   step, where ``perfbench --trace 1`` splits it into layers only roughly,
   since the worker's spans share the tracer's one span stack.
 
-Each repeat times a batch of calls sized to take about ``BATCH_MS``; a
-primitive's time is the fastest repeat's mean per call.  One JSON line per
-primitive gives its milliseconds by side, with nproc, the numpy version and
-the git sha of the imported package's checkout.
+Each repeat times a batch of at least 3 calls, sized to take about
+``BATCH_MS``; a primitive's time is the fastest repeat's mean per call.  One
+JSON line per primitive gives its milliseconds by side, with nproc, the numpy
+version and the git sha of the imported package's checkout.
 
 Usage (from the repository root):
 
@@ -117,7 +117,9 @@ def min_ms(fn, repeat):
     t0 = time.perf_counter()
     fn()  # warm-up; also sizes the batch
     first = time.perf_counter() - t0
-    number = max(1, int(BATCH_MS / 1e3 / max(first, 1e-9)))
+    # at least 3 calls, so a primitive slower than a batch is timed as a mean,
+    # not as the fastest of single calls
+    number = max(3, int(BATCH_MS / 1e3 / max(first, 1e-9)))
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
