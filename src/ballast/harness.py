@@ -229,11 +229,11 @@ class ProblemInstance:
     degraded: np.ndarray  # image-shaped float64 baseline for comparison
 
 
-def deblur_instance(kernel, sigma, size=128, seed=0):
-    """Blur the cartoon scene with a ``kernel`` kind and add white Gaussian noise."""
-    truth = cartoon(size)
-    op = CircularConvolution(make_blur_kernel(kernel), truth.shape)
-    y = add_noise(op.forward(truth), sigma, seed)
+def _observed(truth, op, clean, sigma, seed, noise_seed):
+    """``truth`` observed through ``op``: its image ``clean`` plus white
+    Gaussian noise drawn from ``noise_seed``.  The degraded baseline is the
+    observation where it is image-shaped, else its back-projection."""
+    y = add_noise(clean, sigma, noise_seed)
     return ProblemInstance(
         truth=truth,
         operator=op,
@@ -241,23 +241,21 @@ def deblur_instance(kernel, sigma, size=128, seed=0):
         sigma=sigma,
         epsilon=epsilon_rule(y.size, sigma),
         seed=seed,
-        degraded=y,
+        degraded=y if y.shape == truth.shape else op.adjoint(y),
     )
+
+
+def deblur_instance(kernel, sigma, size=128, seed=0):
+    """Blur the cartoon scene with a ``kernel`` kind and add white Gaussian noise."""
+    truth = cartoon(size)
+    op = CircularConvolution(make_blur_kernel(kernel), truth.shape)
+    return _observed(truth, op, op.forward(truth), sigma, seed, seed)
 
 
 def _radial_instance(truth, lines, sigma, seed, noise_seed):
     """Sample a real ``truth`` on radial Fourier lines and add complex noise."""
     op = RealPartialFourier(radial_mask(truth.shape[0], lines))
-    y = add_noise(op.forward(truth), sigma, noise_seed)
-    return ProblemInstance(
-        truth=truth,
-        operator=op,
-        observation=y,
-        sigma=sigma,
-        epsilon=epsilon_rule(op.m, sigma),
-        seed=seed,
-        degraded=op.adjoint(y),
-    )
+    return _observed(truth, op, op.forward(truth), sigma, seed, noise_seed)
 
 
 def fourier_phantom_instance(size=128, lines=22, sigma=math.sqrt(0.5e-6), seed=0):
@@ -285,16 +283,7 @@ def inpainting_instance(size=128, seed=0, sigma=None):
     clean = op.forward(truth)
     if sigma is None:
         sigma = math.sqrt(float(np.mean(clean**2)) * 10.0 ** (-_INPAINT_SNR_DB / 10.0))
-    y = add_noise(clean, sigma, seed + 1)
-    return ProblemInstance(
-        truth=truth,
-        operator=op,
-        observation=y,
-        sigma=sigma,
-        epsilon=epsilon_rule(op.m, sigma),
-        seed=seed,
-        degraded=op.adjoint(y),
-    )
+    return _observed(truth, op, clean, sigma, seed, seed + 1)
 
 
 @dataclass

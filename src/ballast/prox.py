@@ -364,8 +364,7 @@ def beside(worker, background, foreground):
     in that order.  Either way it returns or raises what that order would:
     the task is joined however ``foreground`` exits, and where both raise,
     ``background``'s error is raised.  ``background`` must not call
-    ``beside`` on the same worker, which would wait on its own queue; a
-    ``foreground`` that does queues its background behind this one.
+    ``beside`` on the same worker, which would wait on its own queue.
     """
     if worker is None:
         return background(), foreground()

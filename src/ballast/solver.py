@@ -150,9 +150,10 @@ class SolveResult:
     last_record: IterationRecord
 
 
-def _relaxed_prox_input(hu, v, d):
-    """``Hu + (RELAXATION - 1)(Hu - v) - d`` in one array-sized temporary."""
-    w = hu - v
+def _relaxed_prox_input(hu, v, d, out=None):
+    """``Hu + (RELAXATION - 1)(Hu - v) - d``, written into ``out`` or into one
+    array-sized temporary."""
+    w = np.subtract(hu, v, out=out)
     w *= RELAXATION - 1.0
     w += hu
     w -= d
@@ -193,16 +194,17 @@ def step(state, op, ball, penalty, mu, formulation="direct", frame=None, record=
     penalty-block residual into ``state.carry["record"]``, which is None
     where the step took no sums; ``solve`` passes ``record_history`` as
     ``record`` and takes any sums it needs that the step did not take from
-    the whole arrays.  Where the solve has a worker (``prox.carry_worker``),
-    ``prox.beside`` hands it the step's independent pieces and joins each
-    before the step goes on, returns or raises: the lower halves of ``v[0]
-    + d[0]`` and, from the crossover up, of the chain's blocks, beside the
-    upper halves on the calling thread; once both halves of the add are
-    done, ``op.adjoint`` beside the synthesis; and the feasibility block
-    beside the analysis and the chain, whose lower half queues behind it.
-    Each half writes only its own slices of fresh arrays, and the record's
-    block sums are added in block order, so the bits are those of one
-    thread.
+    the whole arrays.  The step is a flat sequence of ``prox.beside``
+    pairs, each joined before the next starts; where the solve has a worker
+    (``prox.carry_worker``) the first of each pair runs on it, beside the
+    second on the calling thread: the lower and upper halves of ``v[0] +
+    d[0]``; ``op.adjoint`` beside the synthesis; the shifted-normal inverse
+    alone; the feasibility block beside the analysis; and, from the
+    crossover up, the lower and upper halves of the chain's blocks.  Each
+    half writes only its own slices of fresh arrays, and the record's block
+    sums are added in block order, so the bits are those of one thread.  A
+    non-finite ``v[1]`` raises from the feasibility block before the chain
+    runs.
 
     In those two formulations at most six coefficient-sized arrays are
     alive at once: the last iterate's ``hu[0]``, ``v[0]`` and ``d[0]``, and
@@ -240,21 +242,17 @@ def _frame_step(state, op, ball, penalty, mu, formulation, frame, record):
     x = op.shifted_normal_inverse(ws + back)
     del back
     _check_finite(x, "u", state)
+    feasibility, a = beside(worker, lambda: _feasibility(state, op, ball, x),
+                            lambda: frame.analysis(x - ws if synthesis else x))
+    del ws
+    # the correction a becomes the new d0 in the synthesis formulation; the
+    # analysis's Hu = a needs a fresh one
+    hu0, d0_new = (s, a) if synthesis else (a, np.empty_like(a))
     # below the crossover the chain is one block, and block sums there would
     # save no pass over the arrays: solve takes the record's sums after the step
     blocked = pixels >= prox.BAND_PIXELS
-
-    def penalty_block():
-        a = frame.analysis(x - ws if synthesis else x)
-        # the correction a becomes the new d0 in the synthesis formulation;
-        # the analysis's Hu = a needs a fresh one
-        hu0, d0_new = (s, a) if synthesis else (a, np.empty_like(a))
-        return (hu0, d0_new, *_coefficient_chain(state, penalty, 1.0 / mu, hu0, d0_new,
-                                                 synthesis, blocked, blocked and record,
-                                                 worker))
-
-    feasibility, (hu0, d0_new, v0_new, sums) = beside(
-        worker, lambda: _feasibility(state, op, ball, x), penalty_block)
+    v0_new, sums = _coefficient_chain(state, penalty, 1.0 / mu, hu0, d0_new, synthesis,
+                                      blocked, blocked and record, worker)
     _commit(state, feasibility, hu0 if synthesis else x, x, v0_new, d0_new, hu0)
     state.carry["record"] = sums
     return state
@@ -276,22 +274,19 @@ def _check_finite(a, name, state):
 
 
 def _feasibility(state, op, ball, x):
-    """The feasibility block's update from the image ``x``: ``(B x, v1, d1,
-    whether v1 is finite)``.  It does not raise, so that it can run on the
-    solve's worker; ``_commit`` reads the flag."""
+    """The feasibility block's update from the image ``x``: ``(B x, v1,
+    d1)``, or ``DivergenceError`` with ``state`` where ``v1`` is not
+    finite."""
     hu1 = op.forward(x)
     w1 = _relaxed_prox_input(hu1, state.v[1], state.d[1])
     v1 = project_ball(w1, ball)
-    finite = bool(np.all(np.isfinite(v1)))
-    return hu1, v1, _dual_update(v1, w1), finite
+    _check_finite(v1, "v[1]", state)
+    return hu1, v1, _dual_update(v1, w1)
 
 
 def _commit(state, feasibility, u, x, v0, d0, hu0):
-    """Make a step's update the state, once ``_feasibility``'s ``v1`` is
-    finite too."""
-    hu1, v1, d1, finite = feasibility
-    if not finite:
-        raise DivergenceError(f"non-finite v[1] at iteration {state.k + 1}", state=state)
+    """Make a step's checked update, ``_feasibility``'s included, the state."""
+    hu1, v1, d1 = feasibility
     state.u = u
     state.x = x
     state.v = [v0, v1]
@@ -364,10 +359,7 @@ def _chain_blocks(state, penalty, tau, hu0, d0_new, v0_new, synthesis, block, su
             w *= RELAXATION - 2.0
             w += h
         else:
-            np.subtract(h, v0[b], out=w)
-            w *= RELAXATION - 1.0
-            w += h
-            w -= d0[b]
+            _relaxed_prox_input(h, v0[b], d0[b], out=w)
         p = penalty.prox(w, tau, state.carry)
         _check_finite(p, "v[0]", state)
         if v0_new is None:

@@ -320,7 +320,7 @@ def test_dual_update_is_fresh_when_the_prox_returns_its_input(view, formulation)
 def test_frame_solve_peak_memory_is_about_six_coefficient_arrays(name):
     # one step holds the last iterate's hu[0], v[0] and d[0] and the new
     # ones, the prox input formed over the new d[0]; images and boolean
-    # finiteness masks add the rest: 6.95 arrays measured at 64^2, bounded
+    # finiteness masks add the rest: 6.85 arrays measured at 64^2, bounded
     # with a margin of two thirds of an image (an image is 1/13 of an array)
     setup = build_experiment(name, size=64)  # built outside tracing
     coefficient_bytes = setup.frame.coefficient_length * 8
@@ -340,8 +340,8 @@ def test_frame_solve_peak_memory_is_about_six_coefficient_arrays(name):
 
 def test_split_frame_solve_peak_memory_at_256(monkeypatch):
     # from 256^2 up on two CPUs both threads hold a block's prox output and
-    # its record buffer while the chain runs: 6.78 coefficient arrays
-    # measured over 3 iterations (6.74 with the chain on one thread), bounded
+    # its record buffer while the chain runs: 6.70 coefficient arrays
+    # measured over 3 iterations (6.66 with the chain on one thread), bounded
     # with a margin of three 32,768-coefficient blocks (0.115 of an array)
     monkeypatch.setattr(ballast.prox, "_usable_cpus", lambda: 2)
     setup = build_experiment("deblur-uniform-syn", size=256)  # built outside tracing
@@ -917,6 +917,46 @@ def test_divergence_in_the_last_block_carries_the_last_iterate(formulation, monk
         assert penalty.calls == (iterations - 1) * blocks + last_step
         assert len(excinfo.value.history) == iterations - 1
         assert_states_equal(excinfo.value.state, snapshot)
+
+
+@pytest.mark.parametrize("prox_too", [False, True], ids=["ball", "ball-and-prox"])
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("formulation", ["synthesis", "analysis"])
+def test_divergence_of_v1_crosses_from_the_worker(formulation, cpus, prox_too, monkeypatch):
+    # at 256^2 on two CPUs the feasibility block runs on the solve's worker:
+    # its non-finite v[1] reaches the caller as the DivergenceError, with the
+    # last iterate; it is joined before the coefficient chain starts, so it
+    # wins over a v[0] that would go non-finite in the same iteration
+    poison_at = 3
+    monkeypatch.setattr(ballast.prox, "_usable_cpus", lambda: cpus)
+    inst = deblur_instance("uniform", 0.56, size=256, seed=6)
+    op = inst.operator
+    ball = BallConstraint(inst.observation, inst.epsilon)
+    frame = UndecimatedHaar(op.in_shape, levels=2)
+    blocks = -(-frame.coefficient_length // ballast.prox.BLOCK)
+    snapshot = ballast.solver._initial_state(op, inst.observation, formulation, frame)
+    for _ in range(poison_at - 1):
+        step(snapshot, op, ball, L1Norm(), 0.7, formulation, frame)
+
+    real_project_ball = ballast.solver.project_ball
+    threads = []
+
+    def poisoned(s, ball):
+        threads.append(threading.current_thread())
+        out = real_project_ball(s, ball)
+        return out * np.nan if len(threads) == poison_at else out
+
+    monkeypatch.setattr(ballast.solver, "project_ball", poisoned)
+    penalty = BlockPoisonedL1(0, poison_at, blocks) if prox_too else L1Norm()
+    config = SolverConfig(mu=0.7, epsilon=inst.epsilon, max_iterations=50)
+    with pytest.raises(DivergenceError, match=rf"v\[1\] at iteration {poison_at}$") as excinfo:
+        solve(op, inst.observation, penalty, config, formulation=formulation, frame=frame)
+    assert len(threads) == poison_at
+    assert (threads[-1] is threading.current_thread()) == (cpus == 1)
+    assert len(excinfo.value.history) == poison_at - 1
+    assert_states_equal(excinfo.value.state, snapshot)
+    if prox_too:
+        assert penalty.calls == (poison_at - 1) * blocks  # the chain never ran
 
 
 def test_split_chain_keeps_its_bits_under_thread_switching(monkeypatch):

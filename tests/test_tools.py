@@ -25,10 +25,10 @@ def test_microbench_prints_one_json_line_per_primitive(capsys):
     assert microbench.main(["--sizes", "16", "--repeat", "1"]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     names = [line["primitive"] for line in lines]
-    assert len(names) == len(set(names)) == 19  # 3 operators x 3 maps + 10
+    assert len(names) == len(set(names)) == 20  # 3 operators x 3 maps + 11
     assert {"tv_prox", "IsotropicTV.prox", "soft_threshold", "project_ball", "haar.analysis", "haar.synthesis",
             "fourier.shifted_normal_inverse", "tv_norm", "l1.evaluate",
-            "record.primal", "step.synthesis"} <= set(names)
+            "record.primal", "step.synthesis", "step.analysis"} <= set(names)
     for line in lines:
         assert set(line["min_ms"]) == {"16"} and line["min_ms"]["16"] > 0
         assert line["repeat"] == 1 and line["nproc"] >= 1

@@ -15,11 +15,12 @@ For each image side it times, on random float64 data:
   ``L1Norm.evaluate`` of the frame coefficients, the objectives of the TV
   and the frame formulations, and ``l2_distance`` between two frame
   coefficient vectors, the frame runs' primal residual (``record.primal``);
-- one warm ``solver.step`` of ``deblur-uniform-syn`` (``step.synthesis``),
-  with the operator's work on the solve's worker thread and the coefficient
-  chain in blocks from ``ballast.prox.BAND_PIXELS`` up: the whole frame
-  step, where ``perfbench --trace 1`` splits it into layers only roughly,
-  since the worker's spans share the tracer's one span stack.
+- one warm ``solver.step`` of ``deblur-uniform-syn`` (``step.synthesis``)
+  and of ``deblur-uniform-ana`` (``step.analysis``), with the operator's
+  work on the solve's worker thread and the coefficient chain in blocks
+  from ``ballast.prox.BAND_PIXELS`` up: the whole frame step, where
+  ``perfbench --trace 1`` splits it into layers only roughly, since the
+  worker's spans share the tracer's one span stack.
 
 Each repeat times a batch of at least 3 calls, sized to take about
 ``BATCH_MS``; a primitive's time is the fastest repeat's mean per call.  One
@@ -97,14 +98,15 @@ def primitives(size, seed=0):
     calls["l1.evaluate"] = lambda: L1Norm().evaluate(coefficients)
     other = frame.analysis(rng.standard_normal(shape))
     calls["record.primal"] = lambda: l2_distance(coefficients, other)
-    calls["step.synthesis"] = synthesis_step(size)
+    calls["step.synthesis"] = frame_step(size, "deblur-uniform-syn")
+    calls["step.analysis"] = frame_step(size, "deblur-uniform-ana")
     return calls
 
 
-def synthesis_step(size):
-    """One warm C-SALSA step of ``deblur-uniform-syn`` at ``size``; each call
-    steps on from the state the last one left."""
-    setup = build_experiment("deblur-uniform-syn", size=size)
+def frame_step(size, name):
+    """One warm C-SALSA step of the catalog experiment ``name`` at ``size``;
+    each call steps on from the state the last one left."""
+    setup = build_experiment(name, size=size)
     inst = setup.instance
     ball = BallConstraint(inst.observation, inst.epsilon)
     state = _initial_state(inst.operator, inst.observation, setup.formulation, setup.frame)
