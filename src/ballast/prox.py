@@ -143,25 +143,27 @@ def _chambolle(v, tau, p, iterations, dual_step, out=None, own=slice(None)):
     given.  Row bands run it as if their edges were the image's.
 
     It calls numpy ufuncs and slice assignments only, so a worker thread
-    may run it.  Without ``out`` the result is allocated after the work
-    arrays: freed below it, they leave a hole in the heap, where freed on
-    top they could be returned to the system and faulted back in on every
-    call (on ``mri``, 100-130 page faults per iteration against 4-9).
+    may run it.  It holds four ``v``-sized arrays, allocated in this order:
+    the stacked gradient ``g`` (``g[1]`` also takes the divergence's
+    y-part, ``g[0]`` the weight), ``div``, and ``v / tau``, which takes the
+    result where ``out`` is not given.  Allocated last, it keeps the freed
+    work arrays below it in the heap, where freed on top they could be
+    returned to the system and faulted back in on every call (on ``mri``,
+    100-130 page faults per iteration against 4-9).
     """
     h, w = v.shape
     n = h * w
     p[0, w - 1::w] = p[1, n - w:] = 0.0
+    g = np.empty((2, n))
+    div = np.empty(n)
     vt = np.ravel(v / tau)
-    g = np.zeros((2, n))  # g[1]'s last row is never written: it stays zero
-    work = np.empty((2, n))  # g*g; work[1] also holds div, work[0] weight
-    weight, div = work
     for k in range(iterations + 1):
         # div = x-part + y-part; zeros held at the far edges make flat shifts exact
         div[0] = p[0, 0]
         np.subtract(p[0, 1:], p[0, :-1], out=div[1:])
-        weight[:w] = p[1, :w]
-        np.subtract(p[1, w:], p[1, :-w], out=weight[w:])
-        np.add(div, weight, out=div)
+        g[1, :w] = p[1, :w]
+        np.subtract(p[1, w:], p[1, :-w], out=g[1, w:])
+        np.add(div, g[1], out=div)
         if k == iterations:
             break
         # the step scales (div - v/tau) once, so g and the weight come out
@@ -172,14 +174,17 @@ def _chambolle(v, tau, p, iterations, dual_step, out=None, own=slice(None)):
         np.subtract(div[1:], div[:-1], out=g[0, :-1])
         g[0, w - 1::w] = 0.0
         np.subtract(div[w:], div[:-w], out=g[1, :-w])
-        np.multiply(g, g, out=work)
-        np.add(weight, div, out=weight)
+        g[1, n - w:] = 0.0  # written by the divergence's y-part
+        np.add(p, g, out=p)
+        np.multiply(g, g, out=g)
+        weight = np.add(g[0], g[1], out=g[0])
         np.sqrt(weight, out=weight)
         np.add(weight, 1.0, out=weight)
-        np.add(p, g, out=p)
         np.divide(p, weight, out=p)
     div = div.reshape(h, w)[own]
     np.multiply(div, tau, out=div)
+    if out is None:
+        out = vt.reshape(h, w)[own]
     return np.subtract(v[own], div, out=out)
 
 
@@ -246,14 +251,18 @@ def project_ball(s, ball):
 
     Points already inside (up to a 1e-12 relative slack) are returned
     untouched, which makes the projection exactly idempotent despite the
-    rounding in the radial rescale.
+    rounding in the radial rescale.  A point outside is projected in its
+    one temporary, ``s - center``, rescaled and shifted back in place, so
+    the result shares memory with neither ``s`` nor the center.
     """
     s = np.asarray(s)
     diff = s - ball.center
     nrm = l2_norm(diff)
     if nrm <= ball.radius * (1.0 + 1e-12):
         return s
-    return ball.center + diff * (ball.radius / nrm)
+    diff *= ball.radius / nrm
+    diff += ball.center
+    return diff
 
 
 class L1Norm:

@@ -1,4 +1,7 @@
-"""Shared test helpers: dense materialization of linear maps."""
+"""Shared test helpers: dense materialization of linear maps and traced
+memory peaks."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +27,22 @@ def materialize_composed(base, frame):
         e[i] = 1.0
         cols.append(np.ravel(base.forward(frame.synthesis(e))))
     return np.stack(cols, axis=1)
+
+
+def traced_peak(fn):
+    """Bytes that ``fn()`` holds at its ``tracemalloc`` peak, over what was
+    held before the call."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def pytest_configure(config):

@@ -30,6 +30,8 @@ from ballast import (
     tv_norm,
     tv_prox,
 )
+from ballast.prox import l2_norm
+from conftest import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +213,28 @@ def test_project_ball_zero_radius_returns_center(rng):
     np.testing.assert_allclose(project_ball(y + 3.0, ball), y, atol=1e-14)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_project_ball_projects_an_outside_point_in_one_temporary(rng, dtype):
+    # outside the ball, s - center is rescaled and shifted in place: the
+    # result is that one array, with the bits of the textbook formula
+
+    def draw(shape):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if dtype == np.complex128 else a
+
+    for shape in [(int(rng.integers(4096, 8193)),), tuple(rng.integers(64, 97, size=2))]:
+        center = draw(shape)
+        s = center + 2.0 * draw(shape)
+        ball = BallConstraint(center, 0.5 * l2_norm(s - center))
+        got = project_ball(s, ball)
+        assert not np.may_share_memory(got, s) and not np.may_share_memory(got, center)
+        diff = s - center
+        np.testing.assert_array_equal(got, center + diff * (ball.radius / l2_norm(diff)))
+        assert got.dtype == dtype and got.shape == shape
+        peak = traced_peak(lambda: project_ball(s, ball))
+        assert peak <= 1.1 * s.nbytes, peak / s.nbytes
+
+
 def test_ball_constraint_validates_radius():
     with pytest.raises(ValueError):
         BallConstraint(center=np.zeros(2), radius=-1.0)
@@ -304,6 +328,32 @@ def test_tv_prox_rejects_negative_iterations(rng):
         tv_prox(v, 0.3, iterations=-1)
     # zero inner steps is the identity of the dual: v - tau * div(0) == v
     np.testing.assert_array_equal(tv_prox(v, 0.3, iterations=0), v)
+
+
+def test_tv_prox_holds_four_image_arrays(rng):
+    # the stacked gradient (two images), the divergence and v / tau, which
+    # takes the result: 4.01 images measured for one warm call at 128^2
+    v = rng.standard_normal((128, 128))
+    dual = np.zeros((2, v.size))
+    tv_prox(v, 0.3, iterations=10, dual=dual)
+    peak = traced_peak(lambda: tv_prox(v, 0.3, iterations=10, dual=dual))
+    assert peak <= 4.2 * v.nbytes, peak / v.nbytes
+
+
+def test_tv_prox_row_band_holds_four_band_arrays(rng):
+    # a row band writes its own rows into the caller's output, so it holds
+    # the same four work arrays at the band's size and nothing else
+    v = rng.standard_normal((128, 128))
+    band, rows = v[:68], slice(None, 64)
+    dual = np.zeros((2, band.size))
+    out = np.empty((64, 128))
+
+    def call():
+        ballast.prox._chambolle(band, 0.3, dual, 3, ballast.prox.DUAL_STEP, out, rows)
+
+    call()
+    peak = traced_peak(call)
+    assert peak <= 4.2 * band.nbytes, peak / band.nbytes
 
 
 # ---------------------------------------------------------------------------

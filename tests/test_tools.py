@@ -31,6 +31,8 @@ def test_microbench_prints_one_json_line_per_primitive(capsys):
             "record.primal", "step.synthesis", "step.analysis"} <= set(names)
     for line in lines:
         assert set(line["min_ms"]) == {"16"} and line["min_ms"]["16"] > 0
+        # the tracemalloc peak of one call after the timed batches
+        assert set(line["peak_kib"]) == {"16"} and line["peak_kib"]["16"] > 0
         assert line["repeat"] == 1 and line["nproc"] >= 1
         assert line["numpy"] and line["git_sha"]
 

@@ -24,8 +24,11 @@ For each image side it times, on random float64 data:
 
 Each repeat times a batch of at least 3 calls, sized to take about
 ``BATCH_MS``; a primitive's time is the fastest repeat's mean per call.  One
-JSON line per primitive gives its milliseconds by side, with nproc, the numpy
-version and the git sha of the imported package's checkout.
+more call, after the timed batches, is traced by ``tracemalloc``: its peak
+is the KiB the call held at most beyond what was held before it.  One JSON
+line per primitive gives its milliseconds (``min_ms``) and its peak
+(``peak_kib``) by side, with nproc, the numpy version and the git sha of
+the imported package's checkout.
 
 Usage (from the repository root):
 
@@ -39,6 +42,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +135,16 @@ def min_ms(fn, repeat):
     return 1e3 * best
 
 
+def peak_kib(fn):
+    """``tracemalloc`` peak of one call of ``fn``, in KiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
 def git_sha():
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
@@ -152,9 +166,11 @@ def main(argv=None):
     results = {}
     for size in args.sizes:
         for name, fn in primitives(size).items():
-            results.setdefault(name, {})[str(size)] = round(min_ms(fn, args.repeat), 4)
-    for name, by_size in results.items():
-        print(json.dumps({"primitive": name, "min_ms": by_size, "repeat": args.repeat, **meta}))
+            entry = results.setdefault(name, {"min_ms": {}, "peak_kib": {}})
+            entry["min_ms"][str(size)] = round(min_ms(fn, args.repeat), 4)
+            entry["peak_kib"][str(size)] = round(peak_kib(fn), 1)
+    for name, entry in results.items():
+        print(json.dumps({"primitive": name, **entry, "repeat": args.repeat, **meta}))
     return 0
 
 
