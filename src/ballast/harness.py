@@ -7,7 +7,7 @@ problem families, each with one factory that builds its procedural scene —
 deconvolution of a piecewise-constant scene, partial Fourier reconstruction
 of a head phantom and of a high-dynamic-range squares target, and inpainting
 with a random pixel mask.  There is no path for a user-supplied image, and
-every instance carries an image-shaped float64 ``degraded`` baseline.
+every instance derives an image-shaped float64 ``degraded`` baseline on access.
 """
 
 import inspect
@@ -218,7 +218,11 @@ def isnr(degraded, estimate, truth):
 
 @dataclass
 class ProblemInstance:
-    """A ready-to-solve degradation: truth, operator, noisy observation."""
+    """A ready-to-solve degradation: truth, operator, noisy observation.
+
+    ``degraded``, a report's image-shaped float64 baseline, is derived on
+    access and follows ``observation``: the observation where it is
+    image-shaped, else ``operator.adjoint(observation)``."""
 
     truth: np.ndarray
     operator: object
@@ -226,13 +230,16 @@ class ProblemInstance:
     sigma: float
     epsilon: float
     seed: int
-    degraded: np.ndarray  # image-shaped float64 baseline for comparison
+
+    @property
+    def degraded(self):
+        y = self.observation
+        return y if y.shape == self.truth.shape else self.operator.adjoint(y)
 
 
 def _observed(truth, op, clean, sigma, seed, noise_seed):
     """``truth`` observed through ``op``: its image ``clean`` plus white
-    Gaussian noise drawn from ``noise_seed``.  The degraded baseline is the
-    observation where it is image-shaped, else its back-projection."""
+    Gaussian noise drawn from ``noise_seed``."""
     y = add_noise(clean, sigma, noise_seed)
     return ProblemInstance(
         truth=truth,
@@ -241,7 +248,6 @@ def _observed(truth, op, clean, sigma, seed, noise_seed):
         sigma=sigma,
         epsilon=epsilon_rule(y.size, sigma),
         seed=seed,
-        degraded=y if y.shape == truth.shape else op.adjoint(y),
     )
 
 
@@ -480,6 +486,7 @@ def run_experiment(setup):
                    formulation=setup.formulation, frame=setup.frame)
     estimate = result.estimate
     last = result.last_record
+    degraded = inst.degraded
     return ExperimentReport(
         setup=setup,
         status=result.status,
@@ -489,8 +496,8 @@ def run_experiment(setup):
         final_constraint_norm=last.constraint_norm,
         final_relative_change=last.relative_change,
         final_mse=last.mse,
-        degraded_mse=mse(inst.degraded, inst.truth),
-        isnr_db=isnr(inst.degraded, estimate, inst.truth),
+        degraded_mse=mse(degraded, inst.truth),
+        isnr_db=isnr(degraded, estimate, inst.truth),
         relative_error=relative_error(estimate, inst.truth),
         forward_calls=counted.forward_calls,
         adjoint_calls=counted.adjoint_calls,

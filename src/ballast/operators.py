@@ -67,7 +67,9 @@ class CircularConvolution(LinearOperator):
     shape and circularly shifted so its center sits at the origin; under
     that registration the operator factors exactly as a frequency-domain
     multiplication.  ``freq_response`` is the ``rfft2`` half spectrum of the
-    padded kernel, of shape ``(h, w // 2 + 1)``.
+    padded kernel, of shape ``(h, w // 2 + 1)``, and with the inverse's filter
+    all the operator keeps.  The adjoint forms ``X conj(H)`` in place as
+    ``conj(conj(X) H)``, equal up to the signs of zeros (rounding is symmetric in sign).
     """
 
     def __init__(self, kernel, shape):
@@ -94,18 +96,21 @@ class CircularConvolution(LinearOperator):
         self.in_shape = (h, w)
         self.out_shape = (h, w)
         self.kernel = kernel
-        self.padded_kernel = padded
-        # the kernel is real, so the half spectrum of rfft2 determines the
-        # whole response; each filter the operator applies is fixed here
+        # a real kernel's rfft2 half spectrum determines its whole response
         self.freq_response = np.fft.rfft2(padded)
-        mag2 = np.abs(self.freq_response) ** 2
-        self._adjoint_response = np.conj(self.freq_response)
-        self._inverse_response = 1.0 / (mag2 + 1.0)
+        self._inverse_response = 1.0 / (np.abs(self.freq_response) ** 2 + 1.0)
 
-    def _filter(self, x, response):
+    def _filter(self, x, response, conjugate=False):
         if np.iscomplexobj(x):
-            return self._filter(x.real, response) + 1j * self._filter(x.imag, response)
-        return np.fft.irfft2(np.fft.rfft2(x) * response, s=self.in_shape)
+            return (self._filter(x.real, response, conjugate)
+                    + 1j * self._filter(x.imag, response, conjugate))
+        spectrum = np.fft.rfft2(x)
+        if conjugate:
+            np.conjugate(spectrum, out=spectrum)
+        spectrum *= response
+        if conjugate:
+            np.conjugate(spectrum, out=spectrum)
+        return np.fft.irfft2(spectrum, s=self.in_shape)
 
     def forward(self, x):
         _check_shape(x, self.in_shape, "image")
@@ -113,7 +118,7 @@ class CircularConvolution(LinearOperator):
 
     def adjoint(self, r):
         _check_shape(r, self.out_shape, "observation")
-        return self._filter(r, self._adjoint_response)
+        return self._filter(r, self.freq_response, conjugate=True)
 
     def shifted_normal_inverse(self, r):
         _check_shape(r, self.in_shape, "input")

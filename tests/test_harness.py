@@ -294,6 +294,21 @@ def test_truth_is_feasible_for_complex_observations(seed):
     assert noise_norm > 0.6 * inst.epsilon
 
 
+@pytest.mark.parametrize("name", ["deblur-uniform-tv", "mri", "squares", "inpaint"])
+def test_degraded_baseline_is_derived_from_the_observation(name):
+    # not stored: the observation itself where it is image-shaped, else its
+    # back-projection, to the bit, and it follows a new observation
+    inst = build_experiment(name, size=32).instance
+    assert "degraded" not in vars(inst)
+    if name.startswith("deblur-"):
+        assert inst.degraded is inst.observation
+        return
+    back = inst.operator.adjoint(inst.observation)
+    assert inst.degraded.dtype == back.dtype and inst.degraded.tobytes() == back.tobytes()
+    inst.observation = 2.0 * inst.observation
+    np.testing.assert_array_equal(inst.degraded, 2.0 * back)
+
+
 # ---------------------------------------------------------------------------
 # experiment catalog
 # ---------------------------------------------------------------------------
@@ -461,6 +476,15 @@ def test_run_experiment_report_fields():
     assert np.isfinite(report.isnr_db)
     assert report.forward_calls > 0
     assert report.adjoint_calls > 0
+
+
+@pytest.mark.parametrize("name", ["deblur-uniform-tv", "inpaint"])
+def test_run_experiment_measures_the_derived_baseline(name):
+    setup = build_experiment(name, size=32, iterations=5)
+    inst = setup.instance
+    report = run_experiment(setup)
+    assert report.degraded_mse == mse(inst.degraded, inst.truth)
+    assert report.isnr_db == isnr(inst.degraded, report.estimate, inst.truth)
 
 
 def test_counting_is_numerically_transparent_end_to_end():

@@ -9,7 +9,8 @@ real-image Fourier operator's real adjoint and inverse are checked on masks
 that are not point-symmetric, and its half-spectrum forward and adjoint
 against the complex operator's full transforms.  The undecimated Haar
 transforms are also pinned bit for bit to an ``np.roll`` reference, the
-real-FFT convolution to a full complex-FFT reference, the TV prox to the
+real-FFT convolution to a full complex-FFT reference and its adjoint to the
+filter by a stored ``conj(H)``, the TV prox to the
 straightforward 2-D Chambolle loop it replaced, ``IsotropicTV``'s row-band prox
 to ``tv_prox`` on one whole-image dual, the flat-index sampling operators, the TV
 norm and the MSE to the boolean-mask and ``np.diff`` formulas they replaced,
@@ -275,7 +276,11 @@ def test_convolution_matches_full_fft_reference(h, w, is_complex, seed):
     # the full complex spectrum, on odd and even widths alike
     rng = np.random.default_rng(seed)
     op = make_operator("convolution", (h, w), rng)
-    response = np.fft.fft2(op.padded_kernel)
+    # the unit-sum kernel, zero-padded and rolled so its center tap is at (0, 0)
+    kh, kw = op.kernel.shape
+    padded = np.zeros((h, w))
+    padded[:kh, :kw] = op.kernel
+    response = np.fft.fft2(np.roll(padded, (-(kh // 2), -(kw // 2)), axis=(0, 1)))
     dtype = np.complex128 if is_complex else np.float64
     x = random_element(rng, (h, w), dtype)
 
@@ -289,6 +294,24 @@ def test_convolution_matches_full_fft_reference(h, w, is_complex, seed):
                       (op.shifted_normal_inverse(x), reference(1.0 / (1.0 + mag2)))]:
         assert np.iscomplexobj(got) == is_complex
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * norm(x))
+
+
+@PROPERTY
+@given(sides, sides, st.booleans(), seeds)
+@example(64, 63, False, 0)
+@example(63, 64, True, 1)
+def test_convolution_adjoint_matches_the_conjugate_filter_bitwise(h, w, is_complex, seed):
+    # the adjoint forms X conj(H) as conj(conj(X) H) in place; the spectra
+    # may differ in the signs of zeros, the images do not
+    rng = np.random.default_rng(seed)
+    op = make_operator("convolution", (h, w), rng)
+    r = random_element(rng, (h, w), np.complex128 if is_complex else np.float64)
+
+    def reference(part):
+        return np.fft.irfft2(np.fft.rfft2(part) * np.conj(op.freq_response), s=(h, w))
+
+    want = reference(r.real) + 1j * reference(r.imag) if is_complex else reference(r)
+    assert_same_bits(op.adjoint(r), want)
 
 
 @PROPERTY

@@ -33,6 +33,11 @@ def test_microbench_prints_one_json_line_per_primitive(capsys):
         assert set(line["min_ms"]) == {"16"} and line["min_ms"]["16"] > 0
         # the tracemalloc peak of one call after the timed batches
         assert set(line["peak_kib"]) == {"16"} and line["peak_kib"]["16"] > 0
+        # an operator's lines also give the KiB it keeps once built
+        is_operator = line["primitive"].split(".")[0] in {"convolution", "mask", "fourier"}
+        assert ("held_kib" in line) == is_operator
+        if is_operator:
+            assert set(line["held_kib"]) == {"16"} and line["held_kib"]["16"] > 0
         assert line["repeat"] == 1 and line["nproc"] >= 1
         assert line["numpy"] and line["git_sha"]
 

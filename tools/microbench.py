@@ -28,7 +28,8 @@ more call, after the timed batches, is traced by ``tracemalloc``: its peak
 is the KiB the call held at most beyond what was held before it.  One JSON
 line per primitive gives its milliseconds (``min_ms``) and its peak
 (``peak_kib``) by side, with nproc, the numpy version and the git sha of
-the imported package's checkout.
+the imported package's checkout.  An operator's lines also give the KiB the
+operator keeps once built (``held_kib``), traced over its construction.
 
 Usage (from the repository root):
 
@@ -46,6 +47,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy loads it on first use; not inside a traced build
 
 import ballast
 from ballast import (
@@ -71,15 +73,19 @@ BATCH_MS = 20.0  # target duration of one timed batch
 
 
 def primitives(size, seed=0):
-    """Name -> zero-argument callable for every primitive at ``size``."""
+    """Name -> zero-argument callable for every primitive at ``size``, and
+    operator name -> the KiB the operator keeps."""
     rng = np.random.default_rng(seed)
     shape = (size, size)
     x = rng.standard_normal(shape)
-    ops = {
-        "convolution": CircularConvolution(make_blur_kernel("uniform"), shape),
-        "mask": PixelMask(rng.random(shape) < 0.6),
-        "fourier": RealPartialFourier(radial_mask(size, 22)),
+    builds = {
+        "convolution": lambda: CircularConvolution(make_blur_kernel("uniform"), shape),
+        "mask": lambda: PixelMask(rng.random(shape) < 0.6),
+        "fourier": lambda: RealPartialFourier(radial_mask(size, 22)),
     }
+    ops, held = {}, {}
+    for name, build in builds.items():
+        ops[name], held[name] = held_kib(build)
     calls = {}
     for name, op in ops.items():
         r = op.forward(x)
@@ -104,7 +110,7 @@ def primitives(size, seed=0):
     calls["record.primal"] = lambda: l2_distance(coefficients, other)
     calls["step.synthesis"] = frame_step(size, "deblur-uniform-syn")
     calls["step.analysis"] = frame_step(size, "deblur-uniform-ana")
-    return calls
+    return calls, held
 
 
 def frame_step(size, name):
@@ -145,6 +151,16 @@ def peak_kib(fn):
         tracemalloc.stop()
 
 
+def held_kib(build):
+    """``build()`` and the KiB it still holds on return, traced by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        built = build()
+        return built, tracemalloc.get_traced_memory()[0] / 1024
+    finally:
+        tracemalloc.stop()
+
+
 def git_sha():
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
@@ -165,10 +181,14 @@ def main(argv=None):
     meta = {"nproc": os.cpu_count(), "numpy": np.__version__, "git_sha": git_sha()}
     results = {}
     for size in args.sizes:
-        for name, fn in primitives(size).items():
+        calls, held = primitives(size)
+        for name, fn in calls.items():
             entry = results.setdefault(name, {"min_ms": {}, "peak_kib": {}})
             entry["min_ms"][str(size)] = round(min_ms(fn, args.repeat), 4)
             entry["peak_kib"][str(size)] = round(peak_kib(fn), 1)
+            operator = name.split(".")[0]
+            if operator in held:
+                entry.setdefault("held_kib", {})[str(size)] = round(held[operator], 1)
     for name, entry in results.items():
         print(json.dumps({"primitive": name, **entry, "repeat": args.repeat, **meta}))
     return 0
