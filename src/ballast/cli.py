@@ -126,7 +126,7 @@ def write_run_outputs(report, run_dir):
 
     vmin, vmax = float(np.min(inst.truth)), float(np.max(inst.truth))
     for key, image in (("truth", inst.truth), ("reconstruction", report.estimate),
-                       ("degraded", inst.degraded)):
+                       ("degraded", report.degraded)):
         pnm.write_pgm16(os.path.join(run_dir, paths[key]), pnm.quantize_u16(image, vmin, vmax))
 
     if inst.operator.mask is None:

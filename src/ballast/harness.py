@@ -306,7 +306,7 @@ class RunSetup:
 
 @dataclass
 class ExperimentReport:
-    """Outcome of one run: its setup, final metrics, call counts, and the full history."""
+    """Outcome of one run: setup, final metrics, call counts, history, estimate, baseline."""
 
     setup: RunSetup
     status: str
@@ -323,6 +323,7 @@ class ExperimentReport:
     adjoint_calls: int
     history: list
     estimate: np.ndarray
+    degraded: np.ndarray
 
 
 # blur class -> its deblur_instance arguments: kernel kind and noise sigma
@@ -503,4 +504,5 @@ def run_experiment(setup):
         adjoint_calls=counted.adjoint_calls,
         history=result.history,
         estimate=estimate,
+        degraded=degraded,
     )

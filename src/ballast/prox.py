@@ -33,15 +33,14 @@ BLOCK = 32768
 # Chambolle's dual step, 1/8: the bound of his 2004 convergence proof.
 DUAL_STEP = 0.125
 
-# Pixels from which a solve uses a second thread (``carry_worker``, through
-# ``beside``): ``IsotropicTV.prox`` runs as two row bands, and the frame step
-# runs its operator work beside its frame transforms and its coefficient
-# chain in ``BLOCK`` blocks, in two halves (in block order on one CPU).
-# Measured in whole solves on a 2-core host (ROADMAP): at 128^2 the bands
-# lose, since short ufunc calls contend for the GIL and the ghost rows are a
-# large share of a half, and the blocked chain loses to its per-block calls;
-# at 192^2 the bands gain on inpaint but not on deblur-uniform-tv; at 256^2
-# and 512^2 they gain on both.
+# Pixels from which ``IsotropicTV.prox`` runs as two row bands and the frame
+# step its coefficient chain in ``BLOCK`` blocks, in two halves, on any CPU
+# count; with two usable CPUs ``beside`` hands the lower ones, and the frame
+# step's operator work, to the solve's worker (``carry_worker``).  Measured
+# on a 2-core host (ROADMAP): at 128^2 the bands lose, since short ufunc
+# calls contend for the GIL and the ghost rows are a large share of a half,
+# and the blocked chain loses to its per-block calls; at 256^2 and 512^2 the
+# bands gain, on two threads and, run in order, on one.
 BAND_PIXELS = 256 * 256
 
 
@@ -69,11 +68,7 @@ def soft_threshold(v, tau):
 
 def tv_norm(x):
     """Isotropic total variation; replicated edges zero the last differences."""
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        raise ValueError("tv_norm expects a real image; split complex input first")
-    if x.ndim != 2 or min(x.shape) < 2:
-        raise ValueError(f"TV needs a 2D image with both sides >= 2, got shape {x.shape}")
+    x = _real_image(x)
     # flat forward differences, as in tv_prox: the entries that cross a row
     # end in gx and the last row of gy are zeroed, then |grad|^2 and its
     # root are formed in place
@@ -90,16 +85,21 @@ def tv_norm(x):
     return float(np.sum(np.sqrt(gx, out=gx)))
 
 
+def _real_image(x, dtype=None):
+    """``x`` as a ``dtype`` array, once it is a real 2D image, sides >= 2."""
+    if np.iscomplexobj(x):
+        raise ValueError("TV expects a real image; split complex input first")
+    x = np.asarray(x, dtype=dtype)
+    if x.ndim != 2 or min(x.shape) < 2:
+        raise ValueError(f"TV needs a 2D image with both sides >= 2, got shape {x.shape}")
+    return x
+
+
 def _tv_input(v, tau):
     """``v`` as a float64 image, once ``tau`` and ``v`` pass the TV prox's checks."""
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
-    if np.iscomplexobj(v):
-        raise ValueError("the TV prox expects a real image; split complex input first")
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 2 or min(v.shape) < 2:
-        raise ValueError(f"TV needs a 2D image with both sides >= 2, got shape {v.shape}")
-    return v
+    return _real_image(v, np.float64)
 
 
 def tv_prox(v, tau, iterations=10, dual_step=DUAL_STEP, dual=None):
@@ -116,24 +116,48 @@ def tv_prox(v, tau, iterations=10, dual_step=DUAL_STEP, dual=None):
     enter the divergence and are held at zero, so those entries of ``dual``
     are zeroed; at ``tau == 0`` the prox is the identity and all of it is.
 
-    This is the whole-image form of the loop.  ``IsotropicTV.prox`` runs the
-    same loop (``_chambolle``) on row bands of large images, each band
-    widened by ``iterations + 1`` ghost rows, and gets these bits.
+    This is the whole-image form of the prox.  ``IsotropicTV.prox`` runs the
+    same body (``_tv``) on row bands of large images, each band widened by
+    ``iterations + 1`` ghost rows, and gets these bits.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     v = _tv_input(v, tau)
-    n = v.size
-    if dual is None:
-        p = np.zeros((2, n))
-    elif np.shape(dual) != (2, n) or getattr(dual, "dtype", None) != np.float64:
-        raise ValueError(f"dual needs a float64 array of shape (2, {n})")
-    else:
-        p = dual
+    return _tv(v, tau, np.zeros((2, v.size)) if dual is None else dual, iterations, dual_step)
+
+
+def _tv(v, tau, dual, iterations, dual_step, ghost=0, carry=None):
+    """The TV prox of the checked float64 image ``v`` from ``dual``: the
+    whole image at ``ghost = 0``, else two row bands, each widened by
+    ``ghost`` rows of the other.  ``dual`` is a float64 ``(2, (h + 2*ghost)
+    * w)`` array, each band's field (own and ghost rows) one band after the
+    other.  Each banded call first copies every band's ghost rows from the
+    other band's own rows; then ``beside`` runs the lower band on the
+    solve's worker (``carry_worker``), or first where there is none, and the
+    upper on the calling thread, each writing its own rows of the output.
+    """
+    h, w = v.shape
+    n = (h + 2 * ghost) * w
+    if np.shape(dual) != (2, n) or getattr(dual, "dtype", None) != np.float64:
+        raise ValueError(f"the TV dual needs a float64 array of shape (2, {n})")
     if tau == 0:
-        p[...] = 0.0
+        dual[...] = 0.0
         return v.copy()
-    return _chambolle(v, tau, p, iterations, dual_step)
+    if not ghost:
+        return _chambolle(v, tau, dual, iterations, dual_step)
+    # the upper band holds rows [0, cut + ghost), the lower [cut - ghost, h);
+    # each one's ghost rows start as the other one's own rows
+    cut = h // 2
+    upper, lower = np.split(dual, [(cut + ghost) * w], axis=1)
+    upper[:, cut * w:] = lower[:, ghost * w:2 * ghost * w]
+    lower[:, :ghost * w] = upper[:, (cut - ghost) * w:cut * w]
+    out = np.empty_like(v)
+    beside(carry_worker(carry, h * w),
+           lambda: _chambolle(v[cut - ghost:], tau, lower, iterations, dual_step,
+                              out[cut:], slice(ghost, None)),
+           lambda: _chambolle(v[:cut + ghost], tau, upper, iterations, dual_step,
+                              out[:cut], slice(None, cut)))
+    return out
 
 
 def _chambolle(v, tau, p, iterations, dual_step, out=None, own=slice(None)):
@@ -295,18 +319,13 @@ class IsotropicTV:
     and each call updates it in place.  Warm, a few inner steps per outer
     iteration suffice; without a ``carry`` every call starts cold.
 
-    From ``BAND_PIXELS`` pixels up, when the process may run on two CPUs
-    and each half has at least ``iterations + 1`` rows, the prox runs as two
-    row bands.  After k inner steps an output row depends only on the rows
-    within k + 1 of it, so a band that reaches ``iterations + 1`` ghost rows
-    into the other band, run as if its edges were the image's, gives its
-    own rows bit for bit as the whole image does.  ``carry["tv_dual"]``
-    holds each band's dual field (own and ghost rows) one band after
-    another: with one band it is exactly ``tv_prox``'s ``(2, h*w)`` dual.
-    Each call first copies every band's ghost rows from the other band's
-    own rows; then ``beside`` runs the lower band on the solve's worker
-    (``carry_worker``) and the upper on the calling thread, and each writes
-    its own rows into the one output image.
+    From ``BAND_PIXELS`` pixels up, where each half has at least
+    ``iterations + 1`` rows, the prox runs as two row bands (``_tv``) on any
+    CPU count, and ``carry["tv_dual"]`` holds both bands' fields.  After k
+    inner steps an output row depends only on the rows within k + 1 of it,
+    so a band that reaches ``iterations + 1`` ghost rows into the other, run
+    as if its edges were the image's, gives its own rows bit for bit as the
+    whole image does.
     """
 
     kind = "tv"
@@ -323,33 +342,10 @@ class IsotropicTV:
         carry = {} if carry is None else carry
         v = _tv_input(v, tau)
         h, w = v.shape
-        ghost = self.iterations + 1
+        ghost = self.iterations + 1 if h * w >= BAND_PIXELS and h // 2 > self.iterations else 0
         if "tv_dual" not in carry:
-            banded = h // 2 >= ghost and carry_worker(carry, h * w) is not None
-            carry["tv_dual"] = np.zeros((2, (h + 2 * ghost * banded) * w))
-        dual = carry["tv_dual"]
-        worker = carry.get("worker")
-        if worker is None:
-            return tv_prox(v, tau, self.iterations, dual=dual)
-        if dual.shape != (2, (h + 2 * ghost) * w):
-            raise ValueError(f"the carried TV dual has shape {dual.shape}, "
-                             f"not (2, {(h + 2 * ghost) * w})")
-        if tau == 0:
-            dual[...] = 0.0
-            return v.copy()
-        # the upper band holds rows [0, cut + ghost), the lower [cut - ghost, h);
-        # each one's ghost rows start as the other one's own rows
-        cut = h // 2
-        upper, lower = np.split(dual, [(cut + ghost) * w], axis=1)
-        upper[:, cut * w:] = lower[:, ghost * w:2 * ghost * w]
-        lower[:, :ghost * w] = upper[:, (cut - ghost) * w:cut * w]
-        out = np.empty_like(v)
-        beside(worker,
-               lambda: _chambolle(v[cut - ghost:], tau, lower, self.iterations, DUAL_STEP,
-                                  out[cut:], slice(ghost, None)),
-               lambda: _chambolle(v[:cut + ghost], tau, upper, self.iterations, DUAL_STEP,
-                                  out[:cut], slice(None, cut)))
-        return out
+            carry["tv_dual"] = np.zeros((2, (h + 2 * ghost) * w))
+        return _tv(v, tau, carry["tv_dual"], self.iterations, DUAL_STEP, ghost, carry)
 
 
 def carry_worker(carry, pixels):
@@ -357,9 +353,10 @@ def carry_worker(carry, pixels):
 
     The first call for an image of at least ``BAND_PIXELS`` pixels makes it
     when the process may run on two CPUs; smaller images, and one CPU, get
-    None.  The TV prox's row bands and the frame step's pieces share it,
-    each handed over by ``beside``.  It lives as long as the carry, so it
-    exits once the solve that owns the carry is dropped.
+    None.  It only places work that ``beside`` hands over, the TV prox's
+    lower band and the frame step's pieces, so a solve's bits do not depend
+    on it.  It lives as long as the carry, so it exits once the solve that
+    owns the carry is dropped.
     """
     worker = carry.get("worker")
     if worker is None and pixels >= BAND_PIXELS and _usable_cpus() >= 2:

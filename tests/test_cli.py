@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballast import cli, harness, pnm
+from ballast import cli, harness, operators, pnm
 from ballast.solver import DivergenceError, IterationRecord
 
 
@@ -88,6 +88,24 @@ def test_run_writes_all_outputs(tmp_path, capsys):
     assert recon.shape == (32, 32)
     out = capsys.readouterr().out
     assert "mri: converged" in out
+
+
+def test_run_back_projects_the_observation_as_often_as_run_experiment(tmp_path, monkeypatch):
+    # degraded.pgm is written from the report's baseline, not from a second B^H y
+    calls = []
+    adjoint = operators.RealPartialFourier.adjoint
+
+    def counted(self, r):
+        calls.append(r.shape)
+        return adjoint(self, r)
+
+    monkeypatch.setattr(operators.RealPartialFourier, "adjoint", counted)
+    harness.run_experiment(harness.build_experiment("mri", size=32, lines=8))
+    alone = len(calls)
+    calls.clear()
+    assert run_cli("run", "--experiment", "mri", "--size", "32", "--lines", "8",
+                   "--out", str(tmp_path)) == 0
+    assert alone > 0 and len(calls) == alone
 
 
 def test_repeat_runs_are_byte_identical_apart_from_timing(tmp_path):

@@ -392,9 +392,9 @@ def test_tv_prox_matches_chambolle_reference_bitwise(h, w, tau, iterations, warm
 
 
 @contextlib.contextmanager
-def two_cpus(band_pixels=0):
-    """``IsotropicTV`` sees two usable CPUs and the band crossover at ``band_pixels``."""
-    with mock.patch.object(ballast.prox, "_usable_cpus", lambda: 2), \
+def usable_cpus(cpus, band_pixels=0):
+    """``IsotropicTV`` sees ``cpus`` usable CPUs and the band crossover at ``band_pixels``."""
+    with mock.patch.object(ballast.prox, "_usable_cpus", lambda: cpus), \
             mock.patch.object(ballast.prox, "BAND_PIXELS", band_pixels):
         yield
 
@@ -416,15 +416,18 @@ def assert_warm_calls_match_tv_prox(h, w, iterations, seed, calls=40):
 
 
 @PROPERTY
-@given(st.integers(2, 49), st.integers(2, 9), st.sampled_from([1, 3, 10]), seeds)
-@example(h=4, w=2, iterations=1, seed=0)  # two own rows a band, each all ghost of the other
-@example(h=23, w=3, iterations=10, seed=1)  # odd: 11 and 12 own rows, 11 ghost rows
-def test_banded_tv_prox_matches_whole_image_dual_bitwise(h, w, iterations, seed):
-    with two_cpus():
+@given(st.integers(2, 49), st.integers(2, 9), st.sampled_from([1, 3, 10]),
+       st.sampled_from([1, 2]), seeds)
+@example(h=4, w=2, iterations=1, cpus=2, seed=0)  # two own rows a band, each all ghost of the other
+@example(h=23, w=3, iterations=10, cpus=2, seed=1)  # odd: 11 and 12 own rows, 11 ghost rows
+@example(h=23, w=3, iterations=10, cpus=1, seed=1)
+def test_banded_tv_prox_matches_whole_image_dual_bitwise(h, w, iterations, cpus, seed):
+    # on one CPU the bands run in order on the calling thread
+    with usable_cpus(cpus):
         carry, dual = assert_warm_calls_match_tv_prox(h, w, iterations, seed)
     ghost = iterations + 1
     banded = h // 2 >= ghost
-    assert ("worker" in carry) == banded
+    assert ("worker" in carry) == (banded and cpus == 2)
     field = carry["tv_dual"].reshape(2, -1, w)
     if banded:
         # the upper band's own rows, its ghost rows, the lower band's ghost
@@ -439,25 +442,23 @@ def test_banded_tv_prox_keeps_one_band_without_room_for_ghost_rows():
     # 72,000 pixels are past the crossover, but 3 rows a half are fewer
     # than the 4 ghost rows of 3 inner steps
     assert 6 * 12_000 >= ballast.prox.BAND_PIXELS
-    with two_cpus(ballast.prox.BAND_PIXELS):
+    with usable_cpus(2, ballast.prox.BAND_PIXELS):
         carry, _ = assert_warm_calls_match_tv_prox(6, 12_000, 3, seed=0)
     assert "worker" not in carry and carry["tv_dual"].shape == (2, 72_000)
 
 
-def test_banded_tv_prox_needs_the_crossover_and_two_cpus():
+def test_banded_tv_prox_needs_the_crossover_and_its_worker_two_cpus():
     v = np.random.default_rng(0).standard_normal((256, 256))
     assert v.size == ballast.prox.BAND_PIXELS
-    with two_cpus(ballast.prox.BAND_PIXELS):
-        carry = {}
-        IsotropicTV().prox(v, 0.3, carry)
-        assert "worker" in carry and carry["tv_dual"].shape == (2, (256 + 8) * 256)
-        small = {}
-        IsotropicTV().prox(v[:255], 0.3, small)
-        assert "worker" not in small
-    with mock.patch.object(ballast.prox, "_usable_cpus", lambda: 1):
-        one_cpu = {}
-        IsotropicTV().prox(v, 0.3, one_cpu)
-        assert "worker" not in one_cpu and one_cpu["tv_dual"].shape == (2, v.size)
+    for cpus in (1, 2):
+        with usable_cpus(cpus, ballast.prox.BAND_PIXELS):
+            carry = {}
+            IsotropicTV().prox(v, 0.3, carry)
+            assert carry["tv_dual"].shape == (2, (256 + 8) * 256)
+            assert ("worker" in carry) == (cpus == 2)
+            small = {}
+            IsotropicTV().prox(v[:255], 0.3, small)
+            assert "worker" not in small and small["tv_dual"].shape == (2, 255 * 256)
 
 
 @PROPERTY

@@ -8,9 +8,10 @@ For each image side it times, on random float64 data:
 - analysis and synthesis of ``UndecimatedHaar(levels=4)``;
 - ``soft_threshold`` on that frame's coefficients, ``tv_prox`` with 10
   inner steps from a warm dual field, ``IsotropicTV().prox`` (3 inner
-  steps) from a warm solver carry, the path the solver runs, in row bands
-  on two threads from ``ballast.prox.BAND_PIXELS`` up, and ``project_ball``
-  of an observation-sized point from outside the ball;
+  steps) from a warm solver carry, the path the solver runs, in two row
+  bands from ``ballast.prox.BAND_PIXELS`` up (on two threads where two CPUs
+  are usable, else in order on one), and ``project_ball`` of an
+  observation-sized point from outside the ball;
 - the per-iteration record's own primitives: ``tv_norm`` of the image and
   ``L1Norm.evaluate`` of the frame coefficients, the objectives of the TV
   and the frame formulations, and ``l2_distance`` between two frame
