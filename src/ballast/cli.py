@@ -88,16 +88,18 @@ def _clear_run_dir(run_dir):
         os.remove(os.path.join(run_dir, fname))
 
 
+# the iteration record's fields that history.csv holds after k, in order
+HISTORY_COLUMNS = ("objective", "constraint_norm", "primal_residual", "mse", "relative_change")
+
+
 def _write_history(run_dir, history):
     """Write ``history.csv`` (one row per iteration record) into ``run_dir``."""
     with open(os.path.join(run_dir, "history.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
-        fh.write("k,objective,constraint_norm,primal_residual,mse,relative_change\n")
+        fh.write(",".join(("k",) + HISTORY_COLUMNS) + "\n")
         for rec in history:
-            fh.write(
-                f"{rec.k},{_fmt(rec.objective)},{_fmt(rec.constraint_norm)},"
-                f"{_fmt(rec.primal_residual)},{_fmt(rec.mse)},{_fmt(rec.relative_change)}\n"
-            )
+            fh.write(",".join([str(rec.k)] + [_fmt(getattr(rec, c)) for c in HISTORY_COLUMNS])
+                     + "\n")
 
 
 def _write_summary(run_dir, summary):

@@ -12,6 +12,8 @@ a circulant operator and the synthesis side is its exact adjoint.
 
 import numpy as np
 
+from .operators import _check_shape
+
 __all__ = ["OrthogonalHaar", "UndecimatedHaar"]
 
 
@@ -36,9 +38,7 @@ class OrthogonalHaar:
         self.coefficient_length = h * w
 
     def analysis(self, x):
-        x = np.asarray(x)
-        if x.shape != self.image_shape:
-            raise ValueError(f"image has shape {x.shape}, expected {self.image_shape}")
+        x = _check_shape(x, self.image_shape, "image")
         work = x.astype(np.promote_types(x.dtype, np.float64), copy=True)
         H, W = self.image_shape
         for s in range(self.levels):
@@ -48,12 +48,8 @@ class OrthogonalHaar:
         return work.ravel()
 
     def synthesis(self, coefficients):
-        coefficients = np.asarray(coefficients)
-        if coefficients.shape != (self.coefficient_length,):
-            raise ValueError(
-                f"coefficient vector has shape {coefficients.shape}, "
-                f"expected ({self.coefficient_length},)"
-            )
+        coefficients = _check_shape(coefficients, (self.coefficient_length,),
+                                    "coefficient vector")
         H, W = self.image_shape
         dtype = np.promote_types(coefficients.dtype, np.float64)
         work = coefficients.astype(dtype, copy=True).reshape(H, W)
@@ -108,9 +104,7 @@ class UndecimatedHaar:
         self.coefficient_length = h * w * (3 * levels + 1)
 
     def analysis(self, x):
-        x = np.asarray(x)
-        if x.shape != self.image_shape:
-            raise ValueError(f"image has shape {x.shape}, expected {self.image_shape}")
+        x = _check_shape(x, self.image_shape, "image")
         a = x.astype(np.promote_types(x.dtype, np.float64), copy=False)
         bands = np.empty((3 * self.levels + 1,) + self.image_shape, dtype=a.dtype)
         lo0 = np.empty_like(bands[0])
@@ -132,12 +126,8 @@ class UndecimatedHaar:
         return bands.reshape(-1)
 
     def synthesis(self, coefficients):
-        coefficients = np.asarray(coefficients)
-        if coefficients.shape != (self.coefficient_length,):
-            raise ValueError(
-                f"coefficient vector has shape {coefficients.shape}, "
-                f"expected ({self.coefficient_length},)"
-            )
+        coefficients = _check_shape(coefficients, (self.coefficient_length,),
+                                    "coefficient vector")
         h, w = self.image_shape
         dtype = np.promote_types(coefficients.dtype, np.float64)
         bands = coefficients.astype(dtype, copy=False).reshape(3 * self.levels + 1, h, w)

@@ -207,8 +207,6 @@ def isnr(degraded, estimate, truth):
 
     Returns +inf when the estimate matches the truth exactly (saturation).
     """
-    if np.shape(degraded) != np.shape(truth):
-        raise ValueError("isnr needs degraded and truth of the same shape")
     err_deg = mse(degraded, truth)
     err_est = mse(estimate, truth)
     if err_est == 0.0:

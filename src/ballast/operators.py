@@ -22,8 +22,10 @@ __all__ = [
 
 
 def _check_shape(x, shape, what):
+    """``np.asarray(x)``, once its shape is ``shape``; else a ``ValueError`` naming ``what``."""
     if np.shape(x) != tuple(shape):
         raise ValueError(f"{what} has shape {np.shape(x)}, expected {tuple(shape)}")
+    return np.asarray(x)
 
 
 def _check_real_image(x, shape, what):
@@ -177,8 +179,7 @@ class PixelMask(_Sampling):
     def shifted_normal_inverse(self, r):
         # B^H B is the mask itself, so (I + B^H B)^{-1} halves the kept pixels:
         # ldexp by -1 halves each real component exactly, as 0.5 * r does
-        _check_shape(r, self.in_shape, "input")
-        r = np.asarray(r)
+        r = _check_shape(r, self.in_shape, "input")
         exponent = -self.mask.view(np.int8)
         if not np.iscomplexobj(r):
             return np.ldexp(r, exponent)
@@ -267,8 +268,7 @@ class RealPartialFourier(_Sampling):
         return np.conjugate(out, out=out, where=self._flip)
 
     def adjoint(self, r):
-        _check_shape(r, self.out_shape, "observation")
-        r = 0.5 * np.asarray(r)
+        r = 0.5 * _check_shape(r, self.out_shape, "observation")
         spectrum = np.zeros(self._inverse_response.shape, dtype=np.complex128)
         flat = spectrum.reshape(-1)
         flat[self._direct_at] = r.take(self._direct)

@@ -38,9 +38,11 @@ DUAL_STEP = 0.125
 # count; with two usable CPUs ``beside`` hands the lower ones, and the frame
 # step's operator work, to the solve's worker (``carry_worker``).  Measured
 # on a 2-core host (ROADMAP): at 128^2 the bands lose, since short ufunc
-# calls contend for the GIL and the ghost rows are a large share of a half,
-# and the blocked chain loses to its per-block calls; at 256^2 and 512^2 the
-# bands gain, on two threads and, run in order, on one.
+# calls contend for the GIL and the ghost rows are a large share of a half;
+# at 256^2 and 512^2 they gain, on two threads and, run in order, on one.
+# The blocked chain is faster at 128^2 as well; it stays one whole block
+# below this size because its block-sized prox outputs, copied into the new
+# v0, lift the 64^2 frame-solve peak over its bound of 7 coefficient arrays.
 BAND_PIXELS = 256 * 256
 
 
@@ -51,8 +53,7 @@ def soft_threshold(v, tau):
     magnitude with their phase kept, and anything at or below the threshold
     maps exactly to zero.
     """
-    if tau < 0:
-        raise ValueError(f"threshold must be nonnegative, got {tau}")
+    _check_threshold(tau)
     v = np.asarray(v)
     if not np.iscomplexobj(v):
         # at or below tau, v - v is exactly +0.0; above it, exactly v -/+ tau.
@@ -66,23 +67,34 @@ def soft_threshold(v, tau):
     return v * (shrunk / np.where(mag > 0, mag, 1.0))
 
 
+def _check_threshold(tau):
+    """Raise ``ValueError`` unless the prox weight ``tau`` is finite and >= 0."""
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"threshold must be nonnegative and finite, got {tau}")
+
+
 def tv_norm(x):
     """Isotropic total variation; replicated edges zero the last differences."""
     x = _real_image(x)
-    # flat forward differences, as in tv_prox: the entries that cross a row
-    # end in gx and the last row of gy are zeroed, then |grad|^2 and its
-    # root are formed in place
-    h, w = x.shape
-    n = h * w
-    xf = np.ravel(x)
-    gx, gy = g = np.empty((2, n), dtype=x.dtype if x.dtype.kind == "f" else np.float64)
-    np.subtract(xf[1:], xf[:-1], out=gx[:-1])
-    gx[w - 1::w] = 0.0
-    np.subtract(xf[w:], xf[:-w], out=gy[:-w])
-    gy[n - w:] = 0.0
+    # |grad|^2 and its root are formed in place
+    g = np.empty((2, x.size), dtype=x.dtype if x.dtype.kind == "f" else np.float64)
+    _gradient(np.ravel(x), x.shape[1], g)
     np.multiply(g, g, out=g)
-    np.add(gx, gy, out=gx)
-    return float(np.sum(np.sqrt(gx, out=gx)))
+    np.add(g[0], g[1], out=g[0])
+    return float(np.sum(np.sqrt(g[0], out=g[0])))
+
+
+def _gradient(flat, w, g):
+    """The forward differences of the row-major image ``flat``, ``w`` wide,
+    into the stacked ``(2, flat.size)`` array ``g``: along rows into
+    ``g[0]``, along columns into ``g[1]``, from flat shifted slices.  The
+    entries that would cross a row end and the last row's are zeroed, as
+    replicated edges make them."""
+    n = flat.size
+    np.subtract(flat[1:], flat[:-1], out=g[0, :-1])
+    g[0, w - 1::w] = 0.0
+    np.subtract(flat[w:], flat[:-w], out=g[1, :-w])
+    g[1, n - w:] = 0.0
 
 
 def _real_image(x, dtype=None):
@@ -97,8 +109,7 @@ def _real_image(x, dtype=None):
 
 def _tv_input(v, tau):
     """``v`` as a float64 image, once ``tau`` and ``v`` pass the TV prox's checks."""
-    if tau < 0:
-        raise ValueError(f"threshold must be nonnegative, got {tau}")
+    _check_threshold(tau)
     return _real_image(v, np.float64)
 
 
@@ -195,10 +206,7 @@ def _chambolle(v, tau, p, iterations, dual_step, out=None, own=slice(None)):
         # g and |g| apart
         np.subtract(div, vt, out=div)
         np.multiply(div, dual_step, out=div)
-        np.subtract(div[1:], div[:-1], out=g[0, :-1])
-        g[0, w - 1::w] = 0.0
-        np.subtract(div[w:], div[:-w], out=g[1, :-w])
-        g[1, n - w:] = 0.0  # written by the divergence's y-part
+        _gradient(div, w, g)  # g[1]'s last row was written by the divergence's y-part
         np.add(p, g, out=p)
         np.multiply(g, g, out=g)
         weight = np.add(g[0], g[1], out=g[0])
@@ -232,9 +240,9 @@ def squared_distance(a, b):
     result can differ in the last digits.  Input that is not C-contiguous is
     copied by ``np.ravel``.
     """
+    if np.shape(a) != np.shape(b):
+        raise ValueError(f"shape mismatch: {np.shape(a)} vs {np.shape(b)}")
     a, b = np.ravel(a), np.ravel(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     buf = np.empty(min(a.size, BLOCK), dtype=np.result_type(a, b, np.float64))
     total = 0.0
     for i in range(0, a.size, BLOCK):
@@ -253,11 +261,7 @@ def l2_distance(a, b):
 def mse(a, b):
     """Mean squared error, ``squared_distance(a, b) / a.size``; complex
     differences use squared magnitude."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return squared_distance(a, b) / a.size
+    return squared_distance(a, b) / np.size(a)
 
 
 class BallConstraint:

@@ -117,8 +117,8 @@ def test_undecimated_odd_shape_still_tight(rng):
 
 
 def test_shape_validation(rng):
-    frame = UndecimatedHaar((8, 8), levels=1)
-    with pytest.raises(ValueError):
-        frame.analysis(np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        frame.synthesis(np.zeros(17))
+    for frame in (UndecimatedHaar((8, 8), levels=1), OrthogonalHaar((8, 8), levels=1)):
+        with pytest.raises(ValueError, match=r"image has shape \(4, 4\), expected \(8, 8\)"):
+            frame.analysis(np.zeros((4, 4)))
+        with pytest.raises(ValueError, match=r"coefficient vector has shape \(17,\)"):
+            frame.synthesis(np.zeros(17))

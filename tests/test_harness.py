@@ -9,6 +9,7 @@ import pytest
 import ballast.harness
 from ballast.frames import UndecimatedHaar
 from ballast.operators import PartialFourier, add_noise
+from ballast.prox import l2_distance, squared_distance
 from ballast.harness import (
     BLUR_CLASSES,
     build_experiment,
@@ -187,6 +188,10 @@ def test_mse_and_relative_error():
     assert mse(np.array([1j]), np.array([0j])) == 1.0
     with pytest.raises(ValueError):
         mse(np.zeros(3), np.zeros(4))
+    # shapes are compared before raveling: equal sizes do not make a pair
+    for distance in (squared_distance, l2_distance, mse):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            distance(np.zeros((4, 4)), np.zeros(16))
     assert relative_error(np.array([3.0, 4.0]), np.array([0.0, 4.0])) == 0.75
     with pytest.raises(ValueError):
         relative_error(np.ones(3), np.zeros(3))

@@ -100,9 +100,11 @@ def test_soft_threshold_matches_grid_search():
                    - grid_argmin_scalar_l1(v, tau)) <= 1e-3
 
 
-def test_soft_threshold_negative_tau_raises():
-    with pytest.raises(ValueError):
-        soft_threshold(np.zeros(3), -0.1)
+@pytest.mark.parametrize("tau", [-0.1, float("nan"), float("inf")])
+def test_soft_threshold_negative_tau_raises(tau):
+    # the weight must be finite and >= 0; a NaN one fails `tau < 0` as well
+    with pytest.raises(ValueError, match="threshold"):
+        soft_threshold(np.zeros(3), tau)
 
 
 def test_soft_threshold_complex_shrinks_magnitude():
@@ -412,6 +414,19 @@ def test_tv_penalty_rejects_complex_input(rng):
         tv.prox(v, 0.5, carry)
     with pytest.raises(ValueError, match="real image"):
         tv.evaluate(v)
+    assert carry == {}
+
+
+@pytest.mark.parametrize("tau", [-0.1, float("nan"), float("inf")])
+def test_tv_prox_rejects_a_negative_or_non_finite_weight(tau, rng):
+    # soft_threshold's check, before the carry is touched; a NaN or infinite
+    # weight would make the whole image NaN
+    v = rng.standard_normal((5, 5))
+    carry = {}
+    with pytest.raises(ValueError, match="threshold"):
+        tv_prox(v, tau)
+    with pytest.raises(ValueError, match="threshold"):
+        IsotropicTV().prox(v, tau, carry)
     assert carry == {}
 
 

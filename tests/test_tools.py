@@ -10,11 +10,14 @@ from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+from ballast import build_experiment, run_experiment
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def load_tool(name, directory=TOOLS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -153,3 +156,26 @@ def test_seeds_replays_the_gate_per_run_and_exits_one_on_a_failing_seed(monkeypa
                         lambda setup: dataclasses.replace(run(setup), iterations=10**6))
     assert seeds.main(["--seeds", "2", "--size", "16", "--runs", "mri"]) == 1
     assert capsys.readouterr().out.strip().endswith("failing seeds: 0 1")
+
+
+@pytest.mark.parametrize("name, size, iterations", [
+    ("deblur-uniform-tv", 32, 5), ("deblur-uniform-syn", 32, 5), ("deblur-uniform-ana", 32, 5),
+    ("mri", 32, 5),
+    # from prox.BAND_PIXELS up: the solve's worker, the chain's halves and the TV bands
+    ("deblur-uniform-syn", 256, 3), ("inpaint", 256, 3),
+])
+def test_perfbench_proxies_forward_every_call_a_solve_makes(name, size, iterations):
+    # perfbench/layers.py times a solve through proxies of the penalty, the
+    # frame and the operator; a call they cannot forward fails here rather
+    # than in the benchmark
+    layers = load_tool("layers", ROOT / "perfbench")
+    plain = run_experiment(build_experiment(name, size=size, iterations=iterations))
+    tracer = layers.Tracer()
+    setup = layers.trace_setup(build_experiment(name, size=size, iterations=iterations), tracer)
+    with layers.module_patches(tracer):
+        traced = run_experiment(setup)
+    assert traced.estimate.tobytes() == plain.estimate.tobytes()
+    spans = {"prox.penalty", "operators.forward"}
+    if setup.frame is not None:
+        spans.add("frames.analysis")
+    assert spans <= set(tracer.names)

@@ -29,9 +29,9 @@ subprocess): it tracks the host's speed while the run was timed, so
 per-layer time over its entry's ``kernel_ms``.  ``peak_mem_mb`` is the
 ``tracemalloc`` peak of one more, untimed solve (built outside tracing).
 ``digest`` is the first 16 hex digits of the sha256 of the estimate's bytes,
-and ``history_digest`` those of the record's ``HISTORY_COLUMNS``, one column
-after another, so two files show which runs changed bits, in the estimate or
-in the record alone.
+and ``history_digest`` those of the record's ``history.csv`` columns
+(``ballast.cli.HISTORY_COLUMNS``), one column after another, so two files
+show which runs changed bits, in the estimate or in the record alone.
 
 Solves run one at a time in this process, and the ``perfbench`` runs one at
 a time in subprocesses, so nothing else of this tool competes for a core.
@@ -59,6 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from ballast import build_experiment, experiment_names, run_experiment
+from ballast.cli import HISTORY_COLUMNS
 from microbench import git_sha
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,7 +67,6 @@ REPEAT = 3  # solves per run; the fastest gives the wall time
 SWEEP = ("deblur-uniform-tv", "mri", "inpaint")  # one run per problem family
 WORKLOADS = ("deblur-tv", "deblur-syn-256", "mri", "inpaint-256")
 KERNEL_CALLS = 3  # reference kernel timings before the first solve and after each
-HISTORY_COLUMNS = ("objective", "constraint_norm", "primal_residual", "mse", "relative_change")
 
 
 def load_speed_probe():
